@@ -425,10 +425,10 @@ def _powering_mult_count(exponent: int) -> int:
 
 
 def _fast_path_mult_count(k: int, n: int) -> int:
-    # one powering plus one weight multiply per term, plus the coefficient
-    # powering, the 3^k powering, and the three final multiplies
-    per_term = _powering_mult_count(k) + 1
-    return (1 << n) * per_term + _powering_mult_count(k + 1) + _powering_mult_count(k) + 3
+    # the folded kernel powers its J terms and 3 by k mod 2^n, then spends
+    # three multiplies on the coefficient and the final product
+    ladder = _powering_mult_count(k % (1 << n))
+    return (congruences._folded_terms(n) + 1) * ladder + 3
 
 
 @dataclass(frozen=True)
@@ -615,8 +615,7 @@ def _cmd_stern_table(args, parser: argparse.ArgumentParser, out) -> int:
     n = args.n
     if n < 1:
         parser.error("--n must be >= 1")
-    rows = [({"k": k, "n": n}, congruences.euler_mod_2n(k, n))
-            for k in range(0, (1 << n) - 1, 2)]
+    rows = [({"k": k, "n": n}, value) for k, value in congruences.stern_table(n).items()]
     _emit_value_records("stern-table", rows, args.format, out)
     return EXIT_OK
 

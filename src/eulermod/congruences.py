@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from . import special
@@ -45,6 +46,7 @@ __all__ = [
     "check_euler_mod_two_power",
     "cleared_coefficient_valuation",
     "euler_mod_2n",
+    "stern_table",
     "check_power_sum_divisibility",
     "stern_valuation",
     "check_bernoulli_poly_congruence",
@@ -239,33 +241,86 @@ def cleared_coefficient_valuation(k: int, m: int) -> int:
     return v_adic(Fraction(value, 4), 2)
 
 
+def _folded_terms(n: int) -> int:
+    """J = floor((2**n - 2)/3) + 1: how many j in [0, 2**n) have floor weight 0 for m = 3."""
+    return ((1 << n) - 2) // 3 + 1
+
+
+def _euler_mod_2n_run(k: int, n: int, count: int) -> list[int]:
+    """E_k, E_(k+2), ..., E_(k+2(count-1)) mod 2**n; k even, n >= 1, count >= 1.
+
+    The one kernel behind ``euler_mod_2n`` and ``stern_table``; see the
+    former for the identities it rests on.
+    """
+    target = 1 << n
+    wide = target << 2
+    r = k % target  # both unit groups below have exponent dividing 2**n
+    xs = range(1, 2 * _folded_terms(n), 2)
+    # S/2 = sum_{j<J} (-1)**j x_j**k (mod 2**(n+1)); only S/2 mod 2**n enters
+    terms = list(map(pow, xs, repeat(r), repeat(target)))
+    three = pow(3, r, wide)  # 3**k mod 2**(n+2) fixes (3**(k+1) + 1)/4 mod 2**n
+    if count > 1:
+        squares = [x * x % target for x in xs]
+    residues = []
+    for step in range(count):
+        half_s = (sum(terms[0::2]) - sum(terms[1::2])) % target
+        c = (3 * three + 1) // 4
+        residue = pow(c, -1, target) * three * half_s % target
+        if residue % 2 == 0:
+            raise InternalInconsistencyError(
+                f"E_k mod 2**n came out even for k={k + 2 * step}, n={n}; "
+                "E_k is odd for even k, so the cleared congruence fails"
+            )
+        residues.append(residue)
+        if step + 1 < count:
+            terms = [t * q % target for t, q in zip(terms, squares)]
+            three = three * 9 % wide
+    return residues
+
+
 def euler_mod_2n(k: int, n: int) -> int:
     """E_k mod 2**n computed without the exact Euler number.
 
-    The floor-weighted sum S over 2**n terms (m = 3) is evaluated modulo
-    2**(n+2), which pins S/2 modulo 2**(n+1).  The coefficient
-    c = (3**(k+1) + 1)/4 is odd for even k, hence invertible mod 2**n, and
+    With x_j = 2j+1 and the floor weights w_j = floor((3j+1)/2**n), the
+    cleared congruence with m = 3 reads
 
-        E_k  =  c**-1 * 3**k * (S/2)   (mod 2**n).
+        E_k  =  c**-1 * 3**k * (S/2)   (mod 2**n),   c = (3**(k+1) + 1)/4,
 
-    Cost is O(2**n log k) modular multiplications, independent of the
-    quadratic recurrence.  S must come out even; an odd S would falsify the
-    congruence this evaluator is built on, so it raises loudly.
+    where S = sum_j (-1)**(j-1) w_j x_j**k over j in [0, 2**n), and c is
+    odd for even k.  Two exact identities make S cheap:
+
+    - Fold.  For j' = 2**n-1-j, x_j' = 2**(n+1) - x_j, so x_j'**k = x_j**k
+      (mod 2**(n+2)) for even k; j and j' have opposite signs and
+      w_j + w_j' = 2.  The middle terms (weight 1) cancel in pairs, and
+      S = 2 sum_{j<J} (-1)**j x_j**k (mod 2**(n+2)), where J, about 2**n/3,
+      counts the weight-0 terms.
+    - Exponent reduction.  The unit group mod 2**(n+2) has exponent 2**n,
+      so every power uses k mod 2**n instead of k.
+
+    Cost is at most about (2**n/3) * 2n modular multiplications, whatever the
+    size of k.  E_k is odd for even k; an even residue would falsify the
+    congruence, so it raises loudly.  ``stern_sum`` and
+    ``alternating_power_sum`` stay unfolded: they are the independent route
+    that certifies these identities.
     """
     if k < 0 or k % 2:
         raise ValueError(f"k must be even and >= 0, got {k}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    wide = 1 << (n + 2)  # carries one spare bit beyond the 2**(n+1) actually needed
-    target = 1 << n
-    s = stern_sum(k, n, 3, modulus=wide)
-    if s % 2:
-        raise InternalInconsistencyError(
-            f"floor-weighted sum S is odd for k={k}, n={n}; the cleared congruence fails"
-        )
-    half_s = (s // 2) % target
-    c = (mod_pow(3, k + 1, wide) + 1) // 4 % target
-    return mod_inverse(c, target) * mod_pow(3, k, target) * half_s % target
+    return _euler_mod_2n_run(k, n, 1)[0]
+
+
+def stern_table(n: int) -> dict[int, int]:
+    """E_k mod 2**n for every even k in [0, 2**n - 2], keyed by k.
+
+    Stern's law E_k = E_(k mod 2**n) (mod 2**n) makes this the whole
+    periodic table.  It runs the ``euler_mod_2n`` kernel once: each term
+    x_j**k steps to x_j**(k+2) with one multiply by x_j**2, and 3**k by 9,
+    instead of re-powering for every k.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return dict(zip(range(0, 1 << n, 2), _euler_mod_2n_run(0, n, 1 << (n - 1))))
 
 
 def check_power_sum_divisibility(k: int, n: int) -> bool:

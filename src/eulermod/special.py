@@ -2,8 +2,8 @@
 
 The two number tables are memoized module singletons: sweeps over thousands of
 indices reuse one growing table instead of recomputing quadratically.  Tables
-are append-only; extension is single-writer, and readers only ever observe a
-fully computed prefix.
+are append-only; each extends under its own lock, so concurrent callers never
+interleave rows, and readers only ever observe a fully computed prefix.
 """
 
 from __future__ import annotations
@@ -84,18 +84,22 @@ class EulerNumberTable:
     def __init__(self) -> None:
         self._values: list[int] = [1]
         self.multiplications = 0
+        self._lock = threading.Lock()
 
     @property
     def computed_up_to(self) -> int:
         return len(self._values) - 1
 
     def extend_to(self, n: int) -> None:
-        while self.computed_up_to < n:
-            m = self.computed_up_to + 1
-            if m % 2 == 0:
-                # one coefficient update and one multiply-add per even k < m
-                self.multiplications += 2 * max(m // 2 - 1, 0)
-            self._values.append(_euler_row(self._values, m))
+        if self.computed_up_to >= n:
+            return
+        with self._lock:
+            while self.computed_up_to < n:
+                m = self.computed_up_to + 1
+                if m % 2 == 0:
+                    # one coefficient update and one multiply-add per even k < m
+                    self.multiplications += 2 * max(m // 2 - 1, 0)
+                self._values.append(_euler_row(self._values, m))
 
     def value(self, n: int) -> int:
         if n < 0:
@@ -113,15 +117,19 @@ class BernoulliNumberTable:
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
+        self._lock = threading.Lock()
 
     @property
     def computed_up_to(self) -> int:
         return len(self._values) - 1
 
     def extend_to(self, n: int) -> None:
-        while self.computed_up_to < n:
-            m = self.computed_up_to + 1
-            self._values.append(_bernoulli_row(self._values, m))
+        if self.computed_up_to >= n:
+            return
+        with self._lock:
+            while self.computed_up_to < n:
+                m = self.computed_up_to + 1
+                self._values.append(_bernoulli_row(self._values, m))
 
     def value(self, n: int) -> Fraction:
         if n < 0:
@@ -396,16 +404,18 @@ def load_tables(path, euler: EulerNumberTable | None = None,
             if _bernoulli_row(b_values, probe) != b_values[probe]:
                 raise CacheError(f"{path}: tamper check failed re-deriving B {probe}")
 
-    overlap = min(euler.computed_up_to, len(e_values) - 1)
-    for n in range(overlap + 1):
-        if euler._values[n] != e_values[n]:
-            raise CacheError(f"{path}: cached E {n} disagrees with the computed table")
-    euler._values.extend(e_values[euler.computed_up_to + 1:])
+    with euler._lock:
+        overlap = min(euler.computed_up_to, len(e_values) - 1)
+        for n in range(overlap + 1):
+            if euler._values[n] != e_values[n]:
+                raise CacheError(f"{path}: cached E {n} disagrees with the computed table")
+        euler._values.extend(e_values[euler.computed_up_to + 1:])
 
-    overlap = min(bernoulli.computed_up_to, len(b_values) - 1)
-    for n in range(overlap + 1):
-        if bernoulli._values[n] != b_values[n]:
-            raise CacheError(f"{path}: cached B {n} disagrees with the computed table")
-    bernoulli._values.extend(b_values[bernoulli.computed_up_to + 1:])
+    with bernoulli._lock:
+        overlap = min(bernoulli.computed_up_to, len(b_values) - 1)
+        for n in range(overlap + 1):
+            if bernoulli._values[n] != b_values[n]:
+                raise CacheError(f"{path}: cached B {n} disagrees with the computed table")
+        bernoulli._values.extend(b_values[bernoulli.computed_up_to + 1:])
 
     return len(e_values) - 1, len(b_values) - 1

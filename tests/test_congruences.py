@@ -2,9 +2,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from eulermod import congruences
 from eulermod.congruences import (
     QAdicContext,
     adams_thangadurai_valuation,
@@ -23,9 +24,15 @@ from eulermod.congruences import (
     poly_congruent_mod,
     signed_floor_sum_identity,
     stern_sum,
+    stern_table,
     stern_valuation,
 )
-from eulermod.exactmath import UnivariatePolynomial, v_adic
+from eulermod.exactmath import (
+    InternalInconsistencyError,
+    UnivariatePolynomial,
+    mod_inverse,
+    v_adic,
+)
 from eulermod.special import euler_number
 
 
@@ -222,6 +229,69 @@ class TestEulerModTwoPowerEvaluator:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             euler_mod_2n(2, 0)
+
+
+def unfolded_euler_mod_2n(k: int, n: int) -> int:
+    """E_k mod 2**n from the unfolded cleared congruence with m = 3 and the full k."""
+    wide, target = 1 << (n + 2), 1 << n
+    s = stern_sum(k, n, 3, modulus=wide)
+    assert s % 2 == 0
+    c = (pow(3, k + 1, wide) + 1) // 4
+    return mod_inverse(c, target) * pow(3, k, target) * (s // 2) % target
+
+
+even_k = st.integers(0, 5 * 10 ** 11).map(lambda h: 2 * h)
+
+
+class TestFoldedKernel:
+    """The fold and the exponent reduction behind euler_mod_2n, against unfolded routes."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_fold_identity(self, n):
+        # S = 2 sum_{j<J} (-1)**j (2j+1)**k (mod 2**(n+2)), J the weight-0 count
+        wide = 1 << (n + 2)
+        folded_terms = congruences._folded_terms(n)
+        assert folded_terms == sum(1 for j in range(1 << n) if (3 * j + 1) >> n == 0)
+        for k in (0, 2, 4, 10, 38, 1000, (1 << n) + 2, 3 ** 21 + 1):
+            folded = 2 * sum((-1) ** j * pow(2 * j + 1, k, wide)
+                             for j in range(folded_terms))
+            assert stern_sum(k, n, 3, modulus=wide) == folded % wide
+
+    @given(even_k, st.integers(1, 12))
+    @example(10 ** 12, 12)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unfolded_congruence(self, k, n):
+        assert euler_mod_2n(k, n) == unfolded_euler_mod_2n(k, n)
+
+    @given(even_k, st.integers(1, 10))
+    @example(10 ** 12 - 2, 10)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sterns_law(self, k, n):
+        # E_k = E_(k mod 2**n) (mod 2**n), the right side from the exact table
+        assert euler_mod_2n(k, n) == euler_number(k % (1 << n)) % (1 << n)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_table_matches_single_evaluations(self, n):
+        table = stern_table(n)
+        assert list(table) == list(range(0, 1 << n, 2))
+        assert table == {k: euler_mod_2n(k, n) for k in table}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_table_matches_exact_values(self, n):
+        assert stern_table(n) == {k: euler_number(k) % (1 << n) for k in range(0, 1 << n, 2)}
+
+    def test_table_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError):
+            stern_table(0)
+
+    def test_even_residue_raises(self, monkeypatch):
+        # one term too many breaks the fold; E_k is odd, so the kernel must refuse
+        folded_terms = congruences._folded_terms
+        monkeypatch.setattr(congruences, "_folded_terms", lambda n: folded_terms(n) + 1)
+        with pytest.raises(InternalInconsistencyError, match="k=10, n=6"):
+            euler_mod_2n(10, 6)
+        with pytest.raises(InternalInconsistencyError):
+            stern_table(4)
 
 
 class TestPowerSumDivisibility:

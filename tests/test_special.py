@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -143,6 +145,33 @@ class TestSecantOracle:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
             secant_series_oracle(0)
+
+
+class TestConcurrentExtension:
+    @pytest.mark.parametrize("table_class", [EulerNumberTable, BernoulliNumberTable])
+    def test_threads_match_serial_build(self, table_class):
+        serial = table_class()
+        serial.value(600)
+        shared = table_class()
+        workers = 4  # more threads than cores
+        start = threading.Barrier(workers)
+
+        def extend():
+            start.wait()
+            shared.value(600)
+
+        threads = [threading.Thread(target=extend) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert shared.snapshot() == serial.snapshot()
 
 
 class TestCacheFile:
