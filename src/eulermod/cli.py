@@ -17,7 +17,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
@@ -116,47 +115,46 @@ def _record_from_report(claim: str, parameters: dict, report,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Claim:
-    key: str
-    summary: str
-    params: tuple[tuple[str, str], ...]  # (flag name, default range spec)
-    tuples: Callable[[dict[str, list[int]]], list[tuple]]
-    run_one: Callable[[tuple], dict]
-    validate: Callable[[dict[str, list[int]]], str | None]
-    prepare: Callable[[list[tuple]], None]
+_Rule = tuple[str, Callable[[int], bool]]  # (description, predicate)
 
-
-def _product_tuples(*names: str) -> Callable[[dict[str, list[int]]], list[tuple]]:
-    def build(ranges: dict[str, list[int]]) -> list[tuple]:
-        return list(product(*(ranges[name] for name in names)))
-    return build
-
-
-def _validate_each(ranges: dict[str, list[int]],
-                   rules: Sequence[tuple[str, str, Callable[[int], bool]]]) -> str | None:
-    for name, description, ok in rules:
-        bad = [v for v in ranges[name] if not ok(v)]
-        if bad:
-            return f"--{name}: values must be {description} (offending: {bad[:5]})"
-    return None
-
-
-def _prepare_euler_max(index: int) -> Callable[[list[tuple]], None]:
-    def prepare(tuples: list[tuple]) -> None:
-        if tuples:
-            special.euler_table().extend_to(max(t[index] for t in tuples))
-    return prepare
-
-
-def _prepare_noop(tuples: list[tuple]) -> None:
-    return None
-
-
+_NONNEG = (">= 0", lambda v: v >= 0)
 _EVEN_NONNEG = ("even and >= 0", lambda v: v >= 0 and v % 2 == 0)
 _ODD_POS = ("odd and >= 1", lambda v: v >= 1 and v % 2 == 1)
 _POS = (">= 1", lambda v: v >= 1)
 _EVEN_POS = ("even and >= 2", lambda v: v >= 2 and v % 2 == 0)
+_ODD_PRIME = ("odd primes", lambda v: v > 2 and is_prime(v))
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One checkable statement: its range flags, a per-tuple checker and a domain filter.
+
+    Each param is (flag name, default range spec, rule or None).  Tuples are
+    the product of the ranges in param order; ``keep``, called with the
+    tuple's values by flag name, drops those outside the claim's domain.
+    """
+
+    summary: str
+    params: tuple[tuple[str, str, _Rule | None], ...]
+    run_one: Callable[[tuple], dict]
+    keep: Callable[..., bool] | None = None
+
+    def validate(self, ranges: dict[str, list[int]]) -> str | None:
+        for name, _, rule in self.params:
+            if rule is None:
+                continue
+            description, ok = rule
+            bad = [v for v in ranges[name] if not ok(v)]
+            if bad:
+                return f"--{name}: values must be {description} (offending: {bad[:5]})"
+        return None
+
+    def tuples(self, ranges: dict[str, list[int]]) -> list[tuple]:
+        names = [name for name, _, _ in self.params]
+        combos = product(*(ranges[name] for name in names))
+        if self.keep is None:
+            return list(combos)
+        return [t for t in combos if self.keep(**dict(zip(names, t)))]
 
 
 def _run_euler_mod_odd(t: tuple) -> dict:
@@ -259,157 +257,81 @@ def _run_power_sum(t: tuple) -> dict:
                          str(residue), "0")
 
 
-def _coprime_filter(names: Sequence[str], first: str, second: str):
-    idx_m, idx_q = names.index(first), names.index(second)
-
-    def build(ranges: dict[str, list[int]]) -> list[tuple]:
-        return [t for t in product(*(ranges[n] for n in names))
-                if gcd(t[idx_m], t[idx_q]) == 1]
-    return build
-
-
-def _kummer_tuples(ranges: dict[str, list[int]]) -> list[tuple]:
-    out = []
-    for p, n, k, l in product(ranges["p"], ranges["n"], ranges["k"], ranges["l"]):
-        if k % (p - 1) and l % (p - 1):
-            out.append((p, n, k, l))
-    return out
-
-
-def _thangadurai_tuples(ranges: dict[str, list[int]]) -> list[tuple]:
-    return [(p, k) for p, k in product(ranges["p"], ranges["k"]) if k % (p - 1)]
-
-
-def _prepare_bernoulli(index: int) -> Callable[[list[tuple]], None]:
-    def prepare(tuples: list[tuple]) -> None:
-        if tuples:
-            special.bernoulli_table().extend_to(max(t[index] for t in tuples))
-    return prepare
-
-
-def _prepare_kummer(tuples: list[tuple]) -> None:
-    if tuples:
-        special.bernoulli_table().extend_to(max(max(t[2], t[3]) for t in tuples))
-
-
-def _prepare_relation(tuples: list[tuple]) -> None:
-    if tuples:
-        top = max(t[0] for t in tuples)
-        special.euler_table().extend_to(top)
-        special.bernoulli_table().extend_to(top + 1)
+def _coprime(m: int, q: int, **_) -> bool:
+    return gcd(m, q) == 1
 
 
 CLAIMS: dict[str, Claim] = {
     "1.1": Claim(
-        key="1.1",
         summary="Euler number E_k equals the alternating power sum of odd k-th powers mod odd q",
-        params=(("k", "0..60even"), ("q", "1..99odd")),
-        tuples=_product_tuples("k", "q"),
+        params=(("k", "0..60even", _EVEN_NONNEG), ("q", "1..99odd", _ODD_POS)),
         run_one=_run_euler_mod_odd,
-        validate=lambda r: _validate_each(r, [("k", *_EVEN_NONNEG), ("q", *_ODD_POS)]),
-        prepare=_prepare_euler_max(0),
     ),
     "1.3": Claim(
-        key="1.3",
         summary="cleared congruence (m^{k+1}-(-1)^{(m-1)/2}) E_k = 2 m^k S mod 2^{n+2}",
-        params=(("k", "0..40even"), ("n", "1..10"), ("m", "1..15odd")),
-        tuples=_product_tuples("k", "n", "m"),
+        params=(("k", "0..40even", _EVEN_NONNEG), ("n", "1..10", _POS),
+                ("m", "1..15odd", _ODD_POS)),
         run_one=_run_euler_mod_two_power,
-        validate=lambda r: _validate_each(
-            r, [("k", *_EVEN_NONNEG), ("n", *_POS), ("m", *_ODD_POS)]),
-        prepare=_prepare_euler_max(0),
     ),
     "2.1": Claim(
-        key="2.1",
         summary="both exact forms tying Euler polynomials to Bernoulli polynomials",
-        params=(("n", "0..30"),),
-        tuples=_product_tuples("n"),
+        params=(("n", "0..30", _NONNEG),),
         run_one=_run_euler_bernoulli_relation,
-        validate=lambda r: _validate_each(r, [("n", ">= 0", lambda v: v >= 0)]),
-        prepare=_prepare_relation,
     ),
     "2.2": Claim(
-        key="2.2",
         summary="Bernoulli polynomial scaling congruence vs floor-weighted sum mod q",
-        params=(("a", "-5..5"), ("k", "1..12"), ("m", "1..7odd"), ("q", "2,4,6,8,16")),
-        tuples=_coprime_filter(("a", "k", "m", "q"), "m", "q"),
+        params=(("a", "-5..5", None), ("k", "1..12", _POS), ("m", "1..7odd", _POS),
+                ("q", "2,4,6,8,16", ("> 1", lambda v: v > 1))),
         run_one=_run_bernoulli_poly_congruence,
-        validate=lambda r: _validate_each(
-            r, [("k", *_POS), ("m", *_POS), ("q", "> 1", lambda v: v > 1)]),
-        prepare=_prepare_bernoulli(1),
+        keep=_coprime,
     ),
     "2.3": Claim(
-        key="2.3",
         summary="Euler polynomial scaling congruence vs alternating floor-weighted sum mod even q",
-        params=(("a", "-5..5"), ("k", "0..12"), ("m", "1..7odd"), ("q", "2,4,6,8,16")),
-        tuples=_coprime_filter(("a", "k", "m", "q"), "m", "q"),
+        params=(("a", "-5..5", None), ("k", "0..12", _NONNEG), ("m", "1..7odd", _ODD_POS),
+                ("q", "2,4,6,8,16", _EVEN_POS)),
         run_one=_run_euler_poly_congruence,
-        validate=lambda r: _validate_each(
-            r, [("k", ">= 0", lambda v: v >= 0), ("m", *_ODD_POS), ("q", *_EVEN_POS)]),
-        prepare=_prepare_euler_max(1),
+        keep=_coprime,
     ),
     "2.4": Claim(
-        key="2.4",
         summary="signed floor sum equals (m - (-1)^a)/2 exactly",
-        params=(("a", "-10..10"), ("m", "1..15odd"), ("q", "2..32even")),
-        tuples=_coprime_filter(("a", "m", "q"), "m", "q"),
+        params=(("a", "-10..10", None), ("m", "1..15odd", _ODD_POS),
+                ("q", "2..32even", _EVEN_POS)),
         run_one=_run_signed_floor_sum,
-        validate=lambda r: _validate_each(r, [("m", *_ODD_POS), ("q", *_EVEN_POS)]),
-        prepare=_prepare_noop,
+        keep=_coprime,
     ),
     "kummer": Claim(
-        key="kummer",
         summary="exponent congruence mod phi(p^n) forces B_k/k = B_l/l mod p^n (converse can fail)",
-        params=(("p", "13"), ("n", "2"), ("k", "16"), ("l", "4")),
-        tuples=_kummer_tuples,
+        params=(("p", "13", _ODD_PRIME), ("n", "2", _POS), ("k", "16", _EVEN_POS),
+                ("l", "4", _EVEN_POS)),
         run_one=_run_kummer,
-        validate=lambda r: _validate_each(
-            r,
-            [("p", "odd primes", lambda v: v > 2 and is_prime(v)),
-             ("n", *_POS), ("k", *_EVEN_POS), ("l", *_EVEN_POS)]),
-        prepare=_prepare_kummer,
+        keep=lambda p, k, l, **_: bool(k % (p - 1) and l % (p - 1)),
     ),
     "thangadurai": Claim(
-        key="thangadurai",
         summary="numerator of B_k carries v_p(k) factors of p, conjecturally at most v_p(k)+1",
-        params=(("p", "13"), ("k", "2..60even")),
-        tuples=_thangadurai_tuples,
+        params=(("p", "13", _ODD_PRIME), ("k", "2..60even", _EVEN_POS)),
         run_one=_run_thangadurai,
-        validate=lambda r: _validate_each(
-            r,
-            [("p", "odd primes", lambda v: v > 2 and is_prime(v)),
-             ("k", *_EVEN_POS)]),
-        prepare=_prepare_bernoulli(1),
+        keep=lambda p, k: bool(k % (p - 1)),
     ),
     "raabe": Claim(
-        key="raabe",
         summary="multiplication formula m^{n-1} sum_r B_n((x+r)/m) = B_n(x), exact",
-        params=(("n", "0..30"), ("m", "1..8")),
-        tuples=_product_tuples("n", "m"),
+        params=(("n", "0..30", _NONNEG), ("m", "1..8", _POS)),
         run_one=_run_raabe,
-        validate=lambda r: _validate_each(
-            r, [("n", ">= 0", lambda v: v >= 0), ("m", *_POS)]),
-        prepare=_prepare_bernoulli(0),
     ),
     "reflection": Claim(
-        key="reflection",
         summary="E_n(x) + E_n(x+1) = 2 x^n, exact",
-        params=(("n", "0..30"),),
-        tuples=_product_tuples("n"),
+        params=(("n", "0..30", _NONNEG),),
         run_one=_run_reflection,
-        validate=lambda r: _validate_each(r, [("n", ">= 0", lambda v: v >= 0)]),
-        prepare=_prepare_euler_max(0),
     ),
     "power-sum": Claim(
-        key="power-sum",
         summary="2^{n+1} divides the alternating power sum over a full 2^n block",
-        params=(("k", "0..40even"), ("n", "1..14")),
-        tuples=_product_tuples("k", "n"),
+        params=(("k", "0..40even", _EVEN_NONNEG), ("n", "1..14", _POS)),
         run_one=_run_power_sum,
-        validate=lambda r: _validate_each(r, [("k", *_EVEN_NONNEG), ("n", *_POS)]),
-        prepare=_prepare_noop,
     ),
 }
+
+# every range flag any claim takes, in first-use order
+_RANGE_FLAGS = tuple(dict.fromkeys(name for claim in CLAIMS.values()
+                                   for name, _, _ in claim.params))
 
 
 # ---------------------------------------------------------------------------
@@ -556,25 +478,16 @@ def _emit_value_records(command: str, rows: list[tuple[dict, object]], fmt: str,
 # ---------------------------------------------------------------------------
 
 
-def _run_parallel(tuples: list[tuple], worker: Callable[[tuple], dict],
-                  parallel: int) -> list[dict]:
-    if parallel <= 1:
-        return [worker(t) for t in tuples]
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(worker, tuples))
-
-
 def _cmd_check(args, parser: argparse.ArgumentParser, out) -> int:
     claim = CLAIMS[args.claim]
     ranges: dict[str, list[int]] = {}
-    provided = {name for name in ("k", "q", "n", "m", "a", "p", "l")
-                if getattr(args, name) is not None}
-    allowed = {name for name, _ in claim.params}
+    provided = {name for name in _RANGE_FLAGS if getattr(args, name) is not None}
+    allowed = {name for name, _, _ in claim.params}
     extra = provided - allowed
     if extra:
-        parser.error(f"claim {claim.key} does not take --{sorted(extra)[0]} "
+        parser.error(f"claim {args.claim} does not take --{sorted(extra)[0]} "
                      f"(it takes {', '.join('--' + n for n in sorted(allowed))})")
-    for name, default in claim.params:
+    for name, default, _ in claim.params:
         spec = getattr(args, name) if name in provided else default
         try:
             ranges[name] = parse_range(spec)
@@ -582,31 +495,26 @@ def _cmd_check(args, parser: argparse.ArgumentParser, out) -> int:
             parser.error(f"--{name}: {exc}")
     message = claim.validate(ranges)
     if message:
-        parser.error(f"claim {claim.key}: {message}")
-    tuples = claim.tuples(ranges)
-    claim.prepare(tuples)
-    records = _run_parallel(tuples, claim.run_one, args.parallel)
+        parser.error(f"claim {args.claim}: {message}")
+    records = [claim.run_one(t) for t in claim.tuples(ranges)]
     _emit_check_records(records, args.format, out)
     return EXIT_OK if all(r["holds"] for r in records) else EXIT_CHECK_FAILED
+
+
+def _stern_record(k: int, l: int) -> dict:
+    record = congruences.stern_valuation(k, l)
+    return _check_record(
+        "stern", {"k": k, "l": l},
+        record.v_value == record.v_index, 0,
+        str(record.v_value), str(record.v_index),
+    )
 
 
 def _cmd_sweep(args, parser: argparse.ArgumentParser, out) -> int:
     kmax = args.kmax
     if kmax < 2:
         parser.error("--kmax must be >= 2")
-    special.euler_table().extend_to(kmax)
-
-    def run_one(t: tuple) -> dict:
-        k, l = t
-        record = congruences.stern_valuation(k, l)
-        return _check_record(
-            "stern", {"k": k, "l": l},
-            record.v_value == record.v_index, 0,
-            str(record.v_value), str(record.v_index),
-        )
-
-    tuples = [(k, l) for k in range(2, kmax + 1, 2) for l in range(0, k, 2)]
-    records = _run_parallel(tuples, run_one, args.parallel)
+    records = [_stern_record(k, l) for k in range(2, kmax + 1, 2) for l in range(0, k, 2)]
     _emit_check_records(records, args.format, out)
     return EXIT_OK if all(r["holds"] for r in records) else EXIT_CHECK_FAILED
 
@@ -700,8 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default plain)")
     common.add_argument("--cache", default=None,
                         help=f"table cache file (default from ${CACHE_ENV})")
-    common.add_argument("--parallel", type=int, default=1,
-                        help="worker threads for sweeps (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("euler", parents=[common], help="print E_k exactly (or mod M)")
@@ -728,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("claim", choices=sorted(CLAIMS), metavar="claim",
                    help="one of: " + ", ".join(sorted(CLAIMS)))
-    for flag in ("k", "q", "n", "m", "a", "p", "l"):
+    for flag in _RANGE_FLAGS:
         p.add_argument(f"--{flag}", default=None,
                        help=f"range for {flag} (N, LO..HI, LO..HIodd, LO..HIeven, comma list)")
     p.set_defaults(handler=_cmd_check)
@@ -754,16 +660,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RANGE_FLAGS = {"--k", "--q", "--n", "--m", "--a", "--p", "--l"}
-
-
 def _merge_negative_ranges(argv: Sequence[str]) -> list[str]:
     # argparse reads "-5..5" as an option; fold it into "--a=-5..5" form
     out: list[str] = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if (token in _RANGE_FLAGS and i + 1 < len(argv)
+        if (token.startswith("--") and token[2:] in _RANGE_FLAGS and i + 1 < len(argv)
                 and re.match(r"^-\d", argv[i + 1])):
             out.append(f"{token}={argv[i + 1]}")
             i += 2
@@ -778,10 +681,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(_merge_negative_ranges(
         sys.argv[1:] if argv is None else argv))
 
-    # exact Euler numbers exceed the default int -> str conversion limit
-    if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits():
-        sys.set_int_max_str_digits(0)
-
     cache_path = args.cache or os.environ.get(CACHE_ENV)
     if cache_path and os.path.exists(cache_path):
         try:
@@ -791,7 +690,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_USAGE
 
     try:
-        status = args.handler(args, parser, sys.stdout)
+        # exact Euler numbers exceed the default int -> str conversion limit
+        with special._unlimited_int_str():
+            status = args.handler(args, parser, sys.stdout)
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

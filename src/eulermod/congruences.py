@@ -343,14 +343,10 @@ def stern_valuation(k: int, l: int) -> ValuationRecord:
     return ValuationRecord(k=k, l=l, v_index=v_adic(k - l, 2), v_value=v_adic(e_k - e_l, 2))
 
 
-def _one_minus_m_half(m: int, q: int) -> Fraction:
-    # (1 - m)/2 is a q-integer whenever gcd(m, q) = 1, because q or m is odd
-    return Fraction(1 - m, 2)
-
-
 def _floor_sum_terms(a: int, m: int, q: int, k: int, alternating: bool) -> UnivariatePolynomial:
     """sum_j [sign] (floor((a + j m)/q) + (1-m)/2) (x + a + j m)**k for j in [0, q)."""
-    shift = _one_minus_m_half(m, q)
+    # (1 - m)/2 is a q-integer whenever gcd(m, q) = 1, because q or m is odd
+    shift = Fraction(1 - m, 2)
     total = UnivariatePolynomial()
     for j in range(q):
         weight = floor_div(a + j * m, q) + shift
@@ -442,7 +438,7 @@ def signed_floor_sum_identity(a: int, m: int, q: int) -> tuple[Fraction, Fractio
         raise ValueError(f"m must be >= 1, got {m}")
     if gcd(m, q) != 1:
         raise ValueError(f"m and q must be coprime, got m={m}, q={q}")
-    shift = _one_minus_m_half(m, q)
+    shift = Fraction(1 - m, 2)
     computed = Fraction(0)
     for j in range(q):
         term = floor_div(a + j * m, q) + shift

@@ -165,7 +165,7 @@ def bernoulli_number(n: int) -> Fraction:
     return _BERNOULLI.value(n)
 
 
-# Shared powers of (x - 1/2), grown on demand; guarded for threaded sweeps.
+# Shared powers of (x - 1/2), grown on demand; guarded for concurrent callers.
 _HALF_SHIFT_POWERS: list[tuple[Fraction, ...]] = [(Fraction(1),)]
 _POWERS_LOCK = threading.Lock()
 
