@@ -54,7 +54,10 @@ _RANGE_ITEM = re.compile(r"^(-?\d+)(?:\.\.(-?\d+)(odd|even)?)?$")
 
 
 def parse_range(spec: str) -> list[int]:
-    """Expand a range spec: N, LO..HI, LO..HIodd, LO..HIeven, or a comma list."""
+    """Expand a range spec: N, LO..HI, LO..HIodd, LO..HIeven, or a comma list.
+
+    Repeated values are dropped; the rest keep their first-occurrence order.
+    """
     values: list[int] = []
     for item in spec.split(","):
         item = item.strip()
@@ -77,7 +80,7 @@ def parse_range(spec: str) -> list[int]:
             if parity == "even" and v % 2:
                 continue
             values.append(v)
-    return values
+    return list(dict.fromkeys(values))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +499,11 @@ def _cmd_check(args, parser: argparse.ArgumentParser, out) -> int:
     message = claim.validate(ranges)
     if message:
         parser.error(f"claim {args.claim}: {message}")
-    records = [claim.run_one(t) for t in claim.tuples(ranges)]
+    tuples = claim.tuples(ranges)
+    if not tuples:
+        parser.error(f"claim {args.claim}: no parameter tuple in the given ranges lies in "
+                     "the claim's domain; nothing to check")
+    records = [claim.run_one(t) for t in tuples]
     _emit_check_records(records, args.format, out)
     return EXIT_OK if all(r["holds"] for r in records) else EXIT_CHECK_FAILED
 
@@ -558,7 +565,7 @@ def _cmd_bench(args, parser: argparse.ArgumentParser, out) -> int:
         else:
             out.write(f"exact path: E_{report.k} mod 2^{report.n} = {report.exact_residue} "
                       f"in {report.exact_seconds:.4f}s "
-                      f"({report.exact_multiplications} big-integer multiplications)\n")
+                      f"({report.exact_multiplications} small-by-big multiplications)\n")
             out.write(f"agree: {report.agree}\n")
     else:
         _emit_check_records([record], args.format, out)
@@ -651,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_stern_table)
 
     p = sub.add_parser("bench", parents=[common],
-                       help="time the fast path against the exact recurrence")
+                       help="time the fast path against the exact table")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cutoff", type=int, default=5000,

@@ -15,7 +15,7 @@ import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lgamma, log
 
 from .exactmath import InternalInconsistencyError, UnivariatePolynomial
 
@@ -47,7 +47,8 @@ def _euler_row(values, m: int) -> int:
 
     E_m = -sum over k < m with m - k even of C(m, k) E_k.  The binomial
     coefficient is updated incrementally (exact division), so a row costs
-    O(m) big-integer multiply-adds.
+    O(m) big-integer multiply-adds.  The table does not use it: it re-derives
+    cached rows in the tamper check and serves the tests as a second route.
     """
     if m % 2:
         # the sum ranges over odd k < m, whose entries are all zero
@@ -61,7 +62,10 @@ def _euler_row(values, m: int) -> int:
 
 
 def _bernoulli_row(values, m: int) -> Fraction:
-    """B_m from the entries below it: sum_{k<=m} C(m+1, k) B_k = 0 solved for B_m."""
+    """B_m from the entries below it: sum_{k<=m} C(m+1, k) B_k = 0 solved for B_m.
+
+    Like ``_euler_row``, kept for the tamper check and as a test oracle.
+    """
     acc = Fraction(0)
     c = 1  # C(m+1, 0)
     for k in range(m):
@@ -73,18 +77,75 @@ def _bernoulli_row(values, m: int) -> Fraction:
     return -acc / (m + 1)
 
 
+def _column_step(column: list[int], gap: int) -> int:
+    """Step a Brent-Harvey column one index in place; return the multiplies spent.
+
+    With a = len(column) the new column is c'[k] = (a-k) c[k] + (a+gap-k) c'[k-1]
+    for k < a (c'[-1] = 0), then c'[a] = gap c'[a-1]: every multiplier is a
+    small integer.  With gap 1 a column of length a ending in the secant number
+    S_(a-1) steps to one ending in S_a; with gap 2 a column ending in the
+    tangent number T_a steps to one ending in T_(a+1).  The empty column steps
+    to [1], the seed T_1 = 1.  (Brent and Harvey, "Fast computation of
+    Bernoulli, tangent and secant numbers", arXiv:1108.0286.)
+    """
+    a = len(column)
+    if not a:
+        column.append(1)
+        return 0
+    prev = 0
+    for k in range(a):
+        prev = (a - k) * column[k] + (a + gap - k) * prev
+        column[k] = prev
+    column.append(gap * prev)
+    return 2 * a + 1
+
+
+def _column_value(table, m: int):
+    """The entry at even index m == len(table._values), from the table's column.
+
+    The column normally ends at index m - 2 and takes one step.  After a cache
+    load it ends lower, and stepping it up to m replays every loaded entry in
+    between: one that differs from its replay raises, and the column restarts
+    from its seed so that every later extension raises again.
+    """
+    column = table._column
+    while True:
+        table.multiplications += _column_step(column, table._GAP)
+        index, value = table._entry(column)
+        if index == m:
+            return value
+        if value != table._values[index]:
+            table._column = list(table._SEED)
+            raise InternalInconsistencyError(
+                f"replaying the table kernel: {table._KIND} {index} differs from "
+                "the value loaded from the cache"
+            )
+
+
 class EulerNumberTable:
     """Growable memoized table of Euler numbers E_0, E_1, ... (exact integers).
 
-    Append-only: an index, once filled, never changes.  ``multiplications``
-    counts the big-integer multiplications spent extending the table, for
-    benchmark reports.
+    Built on the secant-number column (``_column_step`` with gap 1):
+    E_2k = (-1)**k S_k, and odd entries are 0.  Each new even index costs
+    O(index) small-by-big multiplications.  Append-only: an index, once
+    filled, never changes.  ``multiplications`` counts the kernel's
+    multiplications, for benchmark reports.
     """
+
+    _GAP = 1
+    _SEED = (1,)  # S_0, the column behind E_0
+    _KIND = "E"
 
     def __init__(self) -> None:
         self._values: list[int] = [1]
+        self._column: list[int] = list(self._SEED)
         self.multiplications = 0
         self._lock = threading.Lock()
+
+    @staticmethod
+    def _entry(column: list[int]) -> tuple[int, int]:
+        k = len(column) - 1
+        return 2 * k, -column[k] if k % 2 else column[k]
 
     @property
     def computed_up_to(self) -> int:
@@ -96,10 +157,7 @@ class EulerNumberTable:
         with self._lock:
             while self.computed_up_to < n:
                 m = self.computed_up_to + 1
-                if m % 2 == 0:
-                    # one coefficient update and one multiply-add per even k < m
-                    self.multiplications += 2 * max(m // 2 - 1, 0)
-                self._values.append(_euler_row(self._values, m))
+                self._values.append(0 if m % 2 else _column_value(self, m))
 
     def value(self, n: int) -> int:
         if n < 0:
@@ -113,11 +171,29 @@ class EulerNumberTable:
 
 
 class BernoulliNumberTable:
-    """Growable memoized table of Bernoulli numbers B_0, B_1, ... (exact rationals)."""
+    """Growable memoized table of Bernoulli numbers B_0, B_1, ... (exact rationals).
+
+    Built on the tangent-number column (``_column_step`` with gap 2):
+    B_2k = (-1)**(k-1) 2k T_k / (4**k (4**k - 1)), B_1 = -1/2, and odd entries
+    past 1 are 0.  ``multiplications`` counts the kernel's multiplications.
+    """
+
+    _GAP = 2
+    _SEED = ()  # steps to [T_1], the column behind B_2
+    _KIND = "B"
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
+        self._column: list[int] = list(self._SEED)
+        self.multiplications = 0
         self._lock = threading.Lock()
+
+    @staticmethod
+    def _entry(column: list[int]) -> tuple[int, Fraction]:
+        k = len(column)
+        numerator = 2 * k * column[-1]
+        four_k = 1 << (2 * k)
+        return 2 * k, Fraction(numerator if k % 2 else -numerator, four_k * (four_k - 1))
 
     @property
     def computed_up_to(self) -> int:
@@ -129,7 +205,10 @@ class BernoulliNumberTable:
         with self._lock:
             while self.computed_up_to < n:
                 m = self.computed_up_to + 1
-                self._values.append(_bernoulli_row(self._values, m))
+                if m % 2 == 0:
+                    self._values.append(_column_value(self, m))
+                else:
+                    self._values.append(Fraction(-1, 2) if m == 1 else Fraction(0))
 
     def value(self, n: int) -> Fraction:
         if n < 0:
@@ -156,12 +235,12 @@ def bernoulli_table() -> BernoulliNumberTable:
 
 
 def euler_number(n: int) -> int:
-    """Exact E_n from the memoized recurrence table."""
+    """Exact E_n from the memoized table."""
     return _EULER.value(n)
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """Exact B_n (convention B_1 = -1/2) from the memoized recurrence table."""
+    """Exact B_n (convention B_1 = -1/2) from the memoized table."""
     return _BERNOULLI.value(n)
 
 
@@ -255,7 +334,7 @@ def secant_series_oracle(count: int) -> list[int]:
     """E_0, E_2, ..., E_{2(count-1)} by exact power-series inversion of cosine.
 
     Solves cos(x) * s(x) = 1 coefficient by coefficient over the rationals and
-    unpacks E_{2n} = (-1)**n (2n)! s_n.  Shares nothing with the recurrence
+    unpacks E_{2n} = (-1)**n (2n)! s_n.  Shares nothing with the
     table, so it serves as an independent cross-check oracle.
     """
     if count < 1:
@@ -317,6 +396,19 @@ def save_tables(path, euler: EulerNumberTable | None = None,
     os.replace(tmp, path)
 
 
+_MAX_INDEX_DIGITS = 12  # no cache file holds 10**12 records
+
+
+def _max_digits(n: int) -> int:
+    """Decimal digits bounding the numerator and denominator of E_n and of B_n.
+
+    |E_n| <= n! and |B_n| <= n!, and the denominator of B_n divides the
+    product of the primes up to n + 1, which is below 4**(n+1); so no part of
+    a genuine record exceeds n! 4**(n+1).  One digit of slack covers rounding.
+    """
+    return int((lgamma(n + 1) + (n + 1) * log(4)) / log(10)) + 2
+
+
 def _parse_cache(path) -> tuple[list[int], list[Fraction]]:
     records: dict[str, dict[int, Fraction]] = {"E": {}, "B": {}}
     with _unlimited_int_str(), open(path, "r", encoding="ascii") as fh:
@@ -326,16 +418,28 @@ def _parse_cache(path) -> tuple[list[int], list[Fraction]]:
                 continue
             parts = line.split()
             if len(parts) != 3 or parts[0] not in ("E", "B"):
-                raise CacheError(f"{path}:{lineno}: malformed record {line!r}")
+                shown = line if len(line) <= 80 else line[:80] + "..."
+                raise CacheError(f"{path}:{lineno}: malformed record {shown!r}")
             kind, index_s, value_s = parts
+            if len(index_s) > _MAX_INDEX_DIGITS:
+                raise CacheError(f"{path}:{lineno}: index has more than "
+                                 f"{_MAX_INDEX_DIGITS} digits")
             try:
                 index = int(index_s)
-                num, _, den = value_s.partition("/")
-                value = Fraction(int(num), int(den) if den else 1)
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise CacheError(f"{path}:{lineno}: {exc}") from None
             if index < 0:
                 raise CacheError(f"{path}:{lineno}: negative index {index}")
+            num, _, den = value_s.partition("/")
+            # refused before int() runs: converting a huge digit string is quadratic
+            limit = _max_digits(index)
+            if len(num.lstrip("+-")) > limit or len(den) > limit:
+                raise CacheError(f"{path}:{lineno}: {kind} {index} has more digits than "
+                                 f"any genuine value (at most {limit})")
+            try:
+                value = Fraction(int(num), int(den) if den else 1)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise CacheError(f"{path}:{lineno}: {exc}") from None
             if index in records[kind]:
                 raise CacheError(f"{path}:{lineno}: duplicate {kind} {index}")
             records[kind][index] = value
@@ -381,8 +485,13 @@ def load_tables(path, euler: EulerNumberTable | None = None,
     any mismatch refuses the whole load.  Re-deriving the top row makes the
     check deterministic against single-value corruption: a corrupted entry
     either fails a structural check, feeds the top row and skews it, or is
-    the top row itself.  An empty file is a valid empty cache.  Returns the
-    highest loaded index per kind (-1 when that kind is absent).
+    the top row itself.  Only values are merged, not the tables' kernel
+    columns: the first extension past a loaded top replays the kernel through
+    every loaded row and raises ``InternalInconsistencyError`` at the first
+    one that differs, so each row gets a full second check before the table
+    grows past it.  A record with more digits than any genuine value is
+    refused before it is converted.  An empty file is a valid empty cache.
+    Returns the highest loaded index per kind (-1 when that kind is absent).
     """
     euler = euler if euler is not None else _EULER
     bernoulli = bernoulli if bernoulli is not None else _BERNOULLI

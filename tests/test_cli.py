@@ -45,6 +45,8 @@ class TestParseRange:
         ("-4..4even", [-4, -2, 0, 2, 4]),
         ("2,4,6,8,16", [2, 4, 6, 8, 16]),
         ("1..3,10", [1, 2, 3, 10]),
+        ("2,2", [2]),
+        ("3,1..4,3", [3, 1, 2, 4]),
     ])
     def test_valid(self, spec, expected):
         assert cli.parse_range(spec) == expected
@@ -210,6 +212,24 @@ class TestCheckCommand:
             cli.main(argv)
         assert exc.value.code == cli.EXIT_USAGE
 
+    def test_repeated_values_checked_once(self, capsys):
+        code, out, _ = run_cli(["check", "1.1", "--k", "2,2", "--q", "3", "--format", "json"],
+                               capsys)
+        assert code == 0
+        assert [r["parameters"] for r in json_records(out)] == [{"k": 2, "q": 3}]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "kummer", "--p", "3", "--k", "2", "--l", "4"],
+        ["check", "thangadurai", "--p", "3", "--k", "2..10even"],
+    ])
+    def test_empty_domain_refused(self, argv, capsys):
+        # every k (or l) is a multiple of p - 1, so the domain filter keeps no tuple
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "no parameter tuple" in captured.err and captured.out == ""
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.congruences, "signed_floor_sum_identity",
                             lambda a, m, q: (Fraction(0), Fraction(1)))
@@ -329,6 +349,29 @@ class TestCache:
         code, _, err = run_cli(["euler", "30", "--cache", str(path)], capsys)
         assert code == cli.EXIT_USAGE
         assert "cache load refused" in err
+
+    def test_resume_past_cached_top(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "tables.cache"
+        expected = special.euler_number(400)
+        for top in (300, 400):
+            monkeypatch.setattr(special, "_EULER", special.EulerNumberTable())
+            code, out, _ = run_cli(["euler", str(top), "--cache", str(path)], capsys)
+            assert code == 0
+        assert out == f"{expected}\n"
+        assert special._EULER.computed_up_to == 400
+
+    def test_tampered_row_below_top_exits_three(self, tmp_path, capsys, monkeypatch):
+        # E_6 is corrupted and E_8 re-derived from it, so only the replay sees it
+        values = [special.euler_number(n) for n in range(9)]
+        values[6] += 2
+        values[8] = special._euler_row(values, 8)
+        path = tmp_path / "tables.cache"
+        path.write_text("".join(f"E {n} {v}\n" for n, v in enumerate(values)))
+        monkeypatch.setattr(special, "_EULER", special.EulerNumberTable())
+        monkeypatch.setattr(special.random, "randrange", lambda lo, hi: 2)
+        code, out, err = run_cli(["euler", "10", "--cache", str(path)], capsys)
+        assert code == cli.EXIT_INTERNAL
+        assert "E 6 differs" in err and out == ""
 
     def test_cache_roundtrip_function(self, tmp_path):
         special.euler_table().extend_to(24)

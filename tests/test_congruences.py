@@ -263,8 +263,9 @@ class TestFoldedKernel:
     def test_matches_unfolded_congruence(self, k, n):
         assert euler_mod_2n(k, n) == unfolded_euler_mod_2n(k, n)
 
-    @given(even_k, st.integers(1, 10))
+    @given(even_k, st.integers(1, 12))
     @example(10 ** 12 - 2, 10)
+    @example(10 ** 12 - 2, 12)
     @settings(max_examples=60, deadline=None)
     def test_matches_sterns_law(self, k, n):
         # E_k = E_(k mod 2**n) (mod 2**n), the right side from the exact table

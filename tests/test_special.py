@@ -1,12 +1,15 @@
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 
-from eulermod.exactmath import UnivariatePolynomial, is_prime
+from eulermod.exactmath import InternalInconsistencyError, UnivariatePolynomial, is_prime
 from eulermod.special import (
+    _bernoulli_row,
+    _euler_row,
     BernoulliNumberTable,
     CacheError,
     EulerNumberTable,
@@ -147,6 +150,79 @@ class TestSecantOracle:
             secant_series_oracle(0)
 
 
+def row_recurrence_table(row, first, top):
+    values = [first]
+    for m in range(1, top + 1):
+        values.append(row(values, m))
+    return values
+
+
+class TestTableKernel:
+    """The column kernel against the row recurrences and the series oracle."""
+
+    def test_euler_matches_both_oracles(self):
+        table = EulerNumberTable()
+        table.extend_to(400)
+        assert list(table.snapshot()) == row_recurrence_table(_euler_row, 1, 400)
+        assert list(table.snapshot()[::2]) == secant_series_oracle(201)
+
+    def test_bernoulli_matches_row_recurrence(self):
+        table = BernoulliNumberTable()
+        table.extend_to(200)
+        assert list(table.snapshot()) == row_recurrence_table(_bernoulli_row, Fraction(1), 200)
+
+    def test_multiplications_counted(self):
+        # E_6 = -S_3 takes column steps of lengths 1, 2 and 3; B_6 takes T_2 and T_3
+        euler, bernoulli = EulerNumberTable(), BernoulliNumberTable()
+        euler.value(6)
+        bernoulli.value(6)
+        assert euler.multiplications == 3 + 5 + 7
+        assert bernoulli.multiplications == 3 + 5
+
+    def test_extend_past_loaded_cache_matches_fresh(self, tmp_path):
+        path = tmp_path / "tables.cache"
+        e, b = EulerNumberTable(), BernoulliNumberTable()
+        e.extend_to(12)
+        b.extend_to(10)
+        save_tables(path, euler=e, bernoulli=b)
+        e2, b2 = EulerNumberTable(), BernoulliNumberTable()
+        assert load_tables(path, euler=e2, bernoulli=b2, rng=random.Random(3)) == (12, 10)
+        e2.extend_to(40)
+        b2.extend_to(40)
+        fresh_e, fresh_b = EulerNumberTable(), BernoulliNumberTable()
+        fresh_e.extend_to(40)
+        fresh_b.extend_to(40)
+        assert e2.snapshot() == fresh_e.snapshot()
+        assert b2.snapshot() == fresh_b.snapshot()
+
+    @pytest.mark.parametrize("kind,row,corrupted,top", [
+        ("E", _euler_row, 10, 20),
+        ("B", _bernoulli_row, 8, 16),
+    ])
+    def test_replay_catches_what_the_probes_miss(self, tmp_path, kind, row, corrupted, top):
+        # corrupt one row below the top, re-derive the top from the corrupted
+        # prefix, and pick a seed whose random probe lands below the corruption
+        table = EulerNumberTable() if kind == "E" else BernoulliNumberTable()
+        table.extend_to(top)
+        values = list(table.snapshot())
+        values[corrupted] += 2
+        values[top] = row(values, top)
+        seed = next(s for s in range(1000) if random.Random(s).randrange(1, top + 1) < corrupted)
+        path = tmp_path / "tampered.cache"
+        with open(path, "w", encoding="ascii") as fh:
+            for n, v in enumerate(values):
+                text = str(v) if kind == "E" else f"{v.numerator}/{v.denominator}"
+                fh.write(f"{kind} {n} {text}\n")
+        e, b = EulerNumberTable(), BernoulliNumberTable()
+        load_tables(path, euler=e, bernoulli=b, rng=random.Random(seed))
+        loaded = e if kind == "E" else b
+        assert loaded.value(corrupted) == values[corrupted]  # inside the loaded prefix
+        for _ in range(2):  # the table stays refused, not silently repaired
+            with pytest.raises(InternalInconsistencyError, match=f"{kind} {corrupted} differs"):
+                loaded.extend_to(top + 2)
+        assert loaded.computed_up_to < top + 2
+
+
 class TestConcurrentExtension:
     @pytest.mark.parametrize("table_class", [EulerNumberTable, BernoulliNumberTable])
     def test_threads_match_serial_build(self, table_class):
@@ -256,6 +332,29 @@ class TestCacheFile:
         path.write_text("E 0 1\nE 1 2\n")
         with pytest.raises(CacheError):
             load_tables(path, euler=EulerNumberTable(), bernoulli=BernoulliNumberTable())
+
+    def test_oversized_record_refused_before_conversion(self, tmp_path):
+        path = tmp_path / "huge.cache"
+        path.write_text("E 0 1\nE 1 0\nE 2 " + "7" * 200_001 + "\n")
+        start = time.perf_counter()
+        with pytest.raises(CacheError, match="E 2 has more digits than any genuine value"):
+            load_tables(path, euler=EulerNumberTable(), bernoulli=BernoulliNumberTable())
+        assert time.perf_counter() - start < 0.25
+
+    @pytest.mark.parametrize("record", ["B 4 1/" + "3" * 5000, "E 1" + "0" * 20 + " 0"],
+                             ids=["denominator", "index"])
+    def test_oversized_denominator_or_index_refused(self, tmp_path, record):
+        path = tmp_path / "huge.cache"
+        path.write_text(record + "\n")
+        with pytest.raises(CacheError, match="digits"):
+            load_tables(path, euler=EulerNumberTable(), bernoulli=BernoulliNumberTable())
+
+    def test_malformed_long_line_shown_cut(self, tmp_path):
+        path = tmp_path / "long.cache"
+        path.write_text("E 0 1 " + "9" * 100_000 + "\n")
+        with pytest.raises(CacheError, match="malformed") as exc:
+            load_tables(path, euler=EulerNumberTable(), bernoulli=BernoulliNumberTable())
+        assert len(str(exc.value)) < len(str(path)) + 200
 
     def test_disagreement_with_computed_prefix_refused(self, tmp_path):
         path = tmp_path / "tables.cache"
