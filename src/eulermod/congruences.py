@@ -387,8 +387,7 @@ def check_bernoulli_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
         raise ValueError(f"m and q must be coprime, got m={m}, q={q}")
     ctx = QAdicContext(q)
     b_k = special.bernoulli_polynomial(k)
-    inner = UnivariatePolynomial((Fraction(a, m), Fraction(1, m)))
-    difference = Fraction(m) ** k * b_k.compose(inner) - b_k
+    difference = Fraction(m) ** k * b_k.affine(Fraction(1, m), Fraction(a, m)) - b_k
     rhs = _floor_sum_terms(a, m, q, k - 1, alternating=False)
     if bernoulli_poly_congruence_route(k, q) == "stated":
         return poly_congruent_mod(Fraction(1, k) * difference, rhs, ctx)
@@ -413,9 +412,9 @@ def check_euler_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
         raise ValueError(f"m must be >= 1, got {m}")
     ctx = QAdicContext(q)
     e_k = special.euler_polynomial(k)
-    inner = UnivariatePolynomial((Fraction(a, m), Fraction(1, m)))
     sign = -1 if a % 2 else 1
-    lhs = Fraction(m ** (k + 1), 2) * e_k.compose(inner) - Fraction(sign, 2) * e_k
+    lhs = (Fraction(m ** (k + 1), 2) * e_k.affine(Fraction(1, m), Fraction(a, m))
+           - Fraction(sign, 2) * e_k)
     rhs = _floor_sum_terms(a, m, q, k, alternating=True)
     for poly in (lhs, rhs):
         for i, c in enumerate(poly.coefficients):

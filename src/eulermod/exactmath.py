@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Union
 
 Rational = Fraction
@@ -234,15 +234,6 @@ class UnivariatePolynomial:
         self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
 
     @classmethod
-    def variable(cls) -> "UnivariatePolynomial":
-        """The polynomial x."""
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, value: RationalLike) -> "UnivariatePolynomial":
-        return cls((value,))
-
-    @classmethod
     def linear_power(cls, shift: RationalLike, k: int) -> "UnivariatePolynomial":
         """(x + shift)**k expanded exactly via the binomial theorem."""
         if k < 0:
@@ -268,9 +259,6 @@ class UnivariatePolynomial:
         if i < 0:
             raise ValueError(f"negative index {i}")
         return self._coeffs[i] if i < len(self._coeffs) else Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -314,31 +302,13 @@ class UnivariatePolynomial:
             return NotImplemented
         return other + (-self)
 
-    def __mul__(self, other: "UnivariatePolynomial | RationalLike") -> "UnivariatePolynomial":
+    def __mul__(self, other: RationalLike) -> "UnivariatePolynomial":
+        """Multiply by a rational scalar; products of two polynomials are not offered."""
         if isinstance(other, (int, Fraction)):
             return UnivariatePolynomial(c * other for c in self._coeffs)
-        if not isinstance(other, UnivariatePolynomial):
-            return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return UnivariatePolynomial()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UnivariatePolynomial(out)
+        return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "UnivariatePolynomial":
-        if k < 0:
-            raise ValueError(f"negative exponent {k}")
-        result = UnivariatePolynomial((1,))
-        for _ in range(k):
-            result = result * self
-        return result
 
     def __call__(self, point: RationalLike) -> Fraction:
         """Evaluate at a rational point by Horner's rule."""
@@ -348,12 +318,35 @@ class UnivariatePolynomial:
             acc = acc * point + c
         return acc
 
-    def compose(self, inner: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        """Exact symbolic substitution self(inner(x)), expanded by Horner's rule."""
-        result = UnivariatePolynomial()
-        for c in reversed(self._coeffs):
-            result = result * inner + UnivariatePolynomial((c,))
-        return result
+    def affine(self, scale: RationalLike, shift: RationalLike) -> "UnivariatePolynomial":
+        """self(scale*x + shift), expanded exactly by an integer Taylor shift.
+
+        With shift = u/v, degree d and D the lcm of the coefficient
+        denominators, the integers b_i = D a_i v**(d-i) are shifted by u in
+        place, O(d**2) integer additions (von zur Gathen and Gerhard, "Fast
+        algorithms for Taylor shifts and certain difference equations",
+        ISSAC 1997); coefficient i of the result is b_i (scale v)**i / (D v**d).
+        """
+        coeffs = self._coeffs
+        if not coeffs:
+            return self
+        shift = Fraction(shift)
+        u, v = shift.numerator, shift.denominator
+        d = len(coeffs) - 1
+        common = lcm(*(c.denominator for c in coeffs))
+        b = [c.numerator * (common // c.denominator) * v ** (d - i) for i, c in enumerate(coeffs)]
+        if u:
+            for i in range(d):
+                for j in range(d - 1, i - 1, -1):
+                    b[j] += u * b[j + 1]
+        w = Fraction(scale) * v
+        out = []
+        num, den = 1, common * v ** d
+        for c in b:
+            out.append(Fraction(c * num, den))
+            num *= w.numerator
+            den *= w.denominator
+        return UnivariatePolynomial(out)
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -244,24 +244,6 @@ def bernoulli_number(n: int) -> Fraction:
     return _BERNOULLI.value(n)
 
 
-# Shared powers of (x - 1/2), grown on demand; guarded for concurrent callers.
-_HALF_SHIFT_POWERS: list[tuple[Fraction, ...]] = [(Fraction(1),)]
-_POWERS_LOCK = threading.Lock()
-
-
-def _half_shift_power(i: int) -> tuple[Fraction, ...]:
-    if i >= len(_HALF_SHIFT_POWERS):
-        with _POWERS_LOCK:
-            while len(_HALF_SHIFT_POWERS) <= i:
-                prev = _HALF_SHIFT_POWERS[-1]
-                cur = [Fraction(0)] * (len(prev) + 1)
-                for j, c in enumerate(prev):
-                    cur[j + 1] += c
-                    cur[j] -= c / 2
-                _HALF_SHIFT_POWERS.append(tuple(cur))
-    return _HALF_SHIFT_POWERS[i]
-
-
 @lru_cache(maxsize=None)
 def euler_polynomial(n: int) -> UnivariatePolynomial:
     """E_n(x) = sum_k C(n, k) E_k / 2**k * (x - 1/2)**(n-k): monic, degree n."""
@@ -273,14 +255,8 @@ def euler_polynomial(n: int) -> UnivariatePolynomial:
     for k in range(0, n + 1, 2):
         if k:
             c = c * (n - k + 2) * (n - k + 1) // ((k - 1) * k)
-        e = _EULER.value(k)
-        if not e:
-            continue
-        scale = Fraction(c * e, 1 << k)
-        for j, p in enumerate(_half_shift_power(n - k)):
-            if p:
-                coeffs[j] += scale * p
-    return UnivariatePolynomial(coeffs)
+        coeffs[n - k] = Fraction(c * _EULER.value(k), 1 << k)
+    return UnivariatePolynomial(coeffs).affine(1, Fraction(-1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -305,7 +281,7 @@ def check_raabe(n: int, m: int) -> bool:
     b = bernoulli_polynomial(n)
     total = UnivariatePolynomial()
     for r in range(m):
-        total = total + b.compose(UnivariatePolynomial((Fraction(r, m), Fraction(1, m))))
+        total = total + b.affine(Fraction(1, m), Fraction(r, m))
     return Fraction(m) ** (n - 1) * total == b
 
 
@@ -316,9 +292,8 @@ def check_euler_bernoulli_relation(n: int) -> bool:
     lhs = Fraction(n + 1, 2) * euler_polynomial(n)
     b = bernoulli_polynomial(n + 1)
     two = Fraction(2) ** (n + 1)
-    half_x = UnivariatePolynomial((0, Fraction(1, 2)))
-    half_x1 = UnivariatePolynomial((Fraction(1, 2), Fraction(1, 2)))
-    return lhs == b - two * b.compose(half_x) and lhs == two * b.compose(half_x1) - b
+    half = Fraction(1, 2)
+    return lhs == b - two * b.affine(half, 0) and lhs == two * b.affine(half, half) - b
 
 
 def check_reflection(n: int) -> bool:
@@ -326,8 +301,7 @@ def check_reflection(n: int) -> bool:
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     e = euler_polynomial(n)
-    shifted = e.compose(UnivariatePolynomial((1, 1)))
-    return e + shifted == 2 * UnivariatePolynomial.variable() ** n
+    return e + e.affine(1, 1) == UnivariatePolynomial([0] * n + [2])
 
 
 def secant_series_oracle(count: int) -> list[int]:

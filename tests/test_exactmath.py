@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulermod.exactmath import (
@@ -251,14 +251,20 @@ class TestPolynomial:
 
     def test_linear_power_matches_naive(self):
         shift = Fraction(-1, 2)
-        x_plus = UnivariatePolynomial([shift, 1])
         for k in range(7):
-            assert UnivariatePolynomial.linear_power(shift, k) == x_plus ** k
+            power = UnivariatePolynomial.linear_power(shift, k)
+            assert power.degree == k
+            for point in (Fraction(0), Fraction(3), Fraction(-7, 3), Fraction(5, 2)):
+                assert power(point) == (point + shift) ** k
 
-    def test_compose_linear(self):
+    def test_affine_example(self):
         p = UnivariatePolynomial([1, 0, 1])  # x^2 + 1
-        inner = UnivariatePolynomial([1, 2])  # 2x + 1
-        assert p.compose(inner) == UnivariatePolynomial([2, 4, 4])
+        assert p.affine(2, 1) == UnivariatePolynomial([2, 4, 4])  # at 2x + 1
+
+    def test_product_of_polynomials_refused(self):
+        p = UnivariatePolynomial([1, 2])
+        with pytest.raises(TypeError):
+            p * p
 
     def test_str(self):
         p = UnivariatePolynomial([Fraction(1, 6), -1, 1])
@@ -275,21 +281,24 @@ class TestPolynomial:
     def test_ring_laws(self, p, q):
         assert p + q == q + p
         assert (p + q) - q == p
-        assert p * q == q * p
-        if p and q:
-            assert (p * q).degree == p.degree + q.degree
+        assert (p * 3) - p == 2 * p
 
     @given(small_polys, small_polys, small_fracs)
     @settings(max_examples=80)
     def test_operations_commute_with_evaluation(self, p, q, point):
         assert (p + q)(point) == p(point) + q(point)
-        assert (p * q)(point) == p(point) * q(point)
+        assert (p - q)(point) == p(point) - q(point)
 
     @given(small_polys, small_fracs, small_fracs, small_fracs)
     @settings(max_examples=80)
-    def test_compose_evaluates_pointwise(self, p, c0, c1, point):
-        inner = UnivariatePolynomial([c0, c1])
-        assert p.compose(inner)(point) == p(inner(point))
+    @example(UnivariatePolynomial(), Fraction(2), Fraction(1, 3), Fraction(5))
+    @example(UnivariatePolynomial([1, 2, 3]), Fraction(0), Fraction(-1, 2), Fraction(7))
+    @example(UnivariatePolynomial([Fraction(1, 6), -1, 1]), Fraction(-3, 2), Fraction(5, 4),
+             Fraction(2, 3))
+    def test_affine_evaluates_pointwise(self, p, scale, shift, point):
+        q = p.affine(scale, shift)
+        assert q(point) == p(scale * point + shift)
+        assert q.degree == (p.degree if scale else (0 if p(shift) else -1))
 
 
 def test_is_prime_small():

@@ -3,9 +3,11 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from eulermod import cli, congruences, special
 from eulermod.exactmath import InternalInconsistencyError, UnivariatePolynomial, is_prime
 from eulermod.special import (
     _bernoulli_row,
@@ -118,6 +120,21 @@ class TestPolynomials:
         for n in range(0, 30):
             assert bernoulli_polynomial(n)(0) == bernoulli_number(n)
 
+    def test_euler_polynomial_matches_defining_sum(self):
+        # second route: the defining sum evaluated pointwise, no polynomial arithmetic
+        rng = random.Random(20040)
+        for n in range(61):
+            for _ in range(3):
+                t = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                direct = sum(comb(n, k) * Fraction(euler_number(k), 2 ** k)
+                             * (t - Fraction(1, 2)) ** (n - k) for k in range(n + 1))
+                assert euler_polynomial(n)(t) == direct, (n, t)
+
+    def test_euler_polynomial_at_zero(self):
+        for n in range(81):
+            expected = -2 * (2 ** (n + 1) - 1) * bernoulli_number(n + 1) / (n + 1)
+            assert euler_polynomial(n)(0) == expected, n
+
 
 class TestIdentities:
     @pytest.mark.parametrize("n,m", [(0, 1), (2, 2), (12, 5), (7, 3), (9, 8)])
@@ -134,6 +151,47 @@ class TestIdentities:
     @pytest.mark.parametrize("n", [0, 1, 2, 9])
     def test_reflection(self, n):
         assert check_reflection(n)
+
+
+class TestChecksFailClosed:
+    """Each identity check must reject a polynomial off by the constant 1/7."""
+
+    @pytest.fixture
+    def skewed(self, monkeypatch):
+        def skew(name):
+            exact = getattr(special, name)
+            monkeypatch.setattr(special, name, lambda n: exact(n) + Fraction(1, 7))
+        return skew
+
+    def test_raabe(self, skewed):
+        skewed("bernoulli_polynomial")
+        assert not any(check_raabe(n, m) for n in (1, 4, 9) for m in (2, 3, 8))
+
+    def test_reflection(self, skewed):
+        skewed("euler_polynomial")
+        assert not any(check_reflection(n) for n in (0, 1, 2, 9))
+
+    @pytest.mark.parametrize("name", ["euler_polynomial", "bernoulli_polynomial"])
+    def test_euler_bernoulli_relation(self, skewed, name):
+        skewed(name)
+        assert not any(check_euler_bernoulli_relation(n) for n in (0, 1, 2, 5, 10))
+
+    @pytest.mark.parametrize("a,k,m,q", [(2, 3, 3, 4), (5, 7, 2, 9), (0, 3, 2, 3)])
+    def test_bernoulli_poly_congruence(self, skewed, a, k, m, q):
+        assert congruences.check_bernoulli_poly_congruence(a, k, m, q)
+        skewed("bernoulli_polynomial")
+        assert not congruences.check_bernoulli_poly_congruence(a, k, m, q)
+
+    @pytest.mark.parametrize("a,k,m,q", [(1, 2, 3, 4), (-2, 5, 3, 8)])
+    def test_euler_poly_congruence(self, skewed, a, k, m, q):
+        assert congruences.check_euler_poly_congruence(a, k, m, q)
+        skewed("euler_polynomial")
+        assert not congruences.check_euler_poly_congruence(a, k, m, q)
+
+    def test_cli_exits_one(self, skewed, capsys):
+        skewed("bernoulli_polynomial")
+        assert cli.main(["check", "raabe", "--n", "4", "--m", "3"]) == 1
+        capsys.readouterr()
 
 
 class TestSecantOracle:
