@@ -32,6 +32,12 @@ EXIT_INTERNAL = 3
 
 CACHE_ENV = "EULERMOD_CACHE"
 
+# Largest n the fast-path commands accept.  The kernel holds about 2**n/3
+# ints, so euler-mod2 and bench at n = 24 take about 10 s; stern-table steps
+# them through 2**(n-1) rows, so n = 14 takes about 5 s and n = 16 about 75 s.
+FAST_N_MAX = 24
+TABLE_N_MAX = 14
+
 __all__ = [
     "main",
     "bench_report",
@@ -43,6 +49,8 @@ __all__ = [
     "EXIT_USAGE",
     "EXIT_INTERNAL",
     "CACHE_ENV",
+    "FAST_N_MAX",
+    "TABLE_N_MAX",
 ]
 
 
@@ -503,7 +511,13 @@ def _cmd_check(args, parser: argparse.ArgumentParser, out) -> int:
     if not tuples:
         parser.error(f"claim {args.claim}: no parameter tuple in the given ranges lies in "
                      "the claim's domain; nothing to check")
-    records = [claim.run_one(t) for t in tuples]
+    records = []
+    for t in tuples:
+        try:
+            records.append(claim.run_one(t))
+        except InternalInconsistencyError as exc:
+            names = ", ".join(f"{name}={v}" for (name, _, _), v in zip(claim.params, t))
+            raise InternalInconsistencyError(f"claim {args.claim} ({names}): {exc}") from exc
     _emit_check_records(records, args.format, out)
     return EXIT_OK if all(r["holds"] for r in records) else EXIT_CHECK_FAILED
 
@@ -528,8 +542,8 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser, out) -> int:
 
 def _cmd_stern_table(args, parser: argparse.ArgumentParser, out) -> int:
     n = args.n
-    if n < 1:
-        parser.error("--n must be >= 1")
+    if not 1 <= n <= TABLE_N_MAX:
+        parser.error(f"--n must be between 1 and {TABLE_N_MAX}")
     rows = [({"k": k, "n": n}, value) for k, value in congruences.stern_table(n).items()]
     _emit_value_records("stern-table", rows, args.format, out)
     return EXIT_OK
@@ -538,8 +552,8 @@ def _cmd_stern_table(args, parser: argparse.ArgumentParser, out) -> int:
 def _cmd_bench(args, parser: argparse.ArgumentParser, out) -> int:
     if args.k < 0 or args.k % 2:
         parser.error("--k must be even and >= 0")
-    if args.n < 1:
-        parser.error("--n must be >= 1")
+    if not 1 <= args.n <= FAST_N_MAX:
+        parser.error(f"--n must be between 1 and {FAST_N_MAX}")
     report = bench_report(args.k, args.n, cutoff=args.cutoff)
     skipped = report.agree is None
     record = _check_record(
@@ -597,8 +611,8 @@ def _cmd_bernoulli(args, parser: argparse.ArgumentParser, out) -> int:
 def _cmd_euler_mod2(args, parser: argparse.ArgumentParser, out) -> int:
     if args.k < 0 or args.k % 2:
         parser.error("k must be even and >= 0")
-    if args.n < 1:
-        parser.error("n must be >= 1")
+    if not 1 <= args.n <= FAST_N_MAX:
+        parser.error(f"n must be between 1 and {FAST_N_MAX}")
     value = congruences.euler_mod_2n(args.k, args.n)
     _emit_value_records("euler-mod2", [({"k": args.k, "n": args.n}, value)],
                         args.format, out)

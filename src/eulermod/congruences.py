@@ -18,17 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import gcd
+from math import comb, gcd
 
 from . import special
 from .exactmath import (
     InternalInconsistencyError,
     RationalLike,
     UnivariatePolynomial,
-    floor_div,
     is_prime,
     mod_inverse,
-    mod_pow,
     v_adic,
 )
 
@@ -151,16 +149,13 @@ def alternating_power_sum(q: int, k: int, modulus: int | None = None) -> int:
         raise ValueError(f"q must be >= 1, got {q}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if modulus is not None and modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
     total = 0
-    if modulus is None:
-        for j in range(q):
-            term = (2 * j + 1) ** k
-            total += -term if j % 2 else term
-        return total
-    for j in range(q):
-        term = mod_pow(2 * j + 1, k, modulus)
+    for j in range(q):  # pow(x, k, None) is the exact power
+        term = pow(2 * j + 1, k, modulus)
         total += -term if j % 2 else term
-    return total % modulus
+    return total % modulus if modulus else total
 
 
 def check_euler_mod_odd(k: int, q: int) -> CongruenceReport:
@@ -190,18 +185,14 @@ def stern_sum(k: int, n: int, m: int, modulus: int | None = None) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be odd and >= 1, got {m}")
-    block = 1 << n
+    if modulus is not None and modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
     half = (m - 1) // 2
     total = 0
-    if modulus is None:
-        for j in range(block):
-            term = (2 * j + 1) ** k * ((j * m + half) >> n)
-            total += term if j % 2 else -term
-        return total
-    for j in range(block):
-        term = mod_pow(2 * j + 1, k, modulus) * ((j * m + half) >> n)
+    for j in range(1 << n):
+        term = pow(2 * j + 1, k, modulus) * ((j * m + half) >> n)
         total += term if j % 2 else -term
-    return total % modulus
+    return total % modulus if modulus else total
 
 
 def check_euler_mod_two_power(k: int, n: int, m: int) -> CongruenceReport:
@@ -344,19 +335,24 @@ def stern_valuation(k: int, l: int) -> ValuationRecord:
 
 
 def _floor_sum_terms(a: int, m: int, q: int, k: int, alternating: bool) -> UnivariatePolynomial:
-    """sum_j [sign] (floor((a + j m)/q) + (1-m)/2) (x + a + j m)**k for j in [0, q)."""
-    # (1 - m)/2 is a q-integer whenever gcd(m, q) = 1, because q or m is odd
-    shift = Fraction(1 - m, 2)
-    total = UnivariatePolynomial()
+    """sum_j [sign] (floor((a + j m)/q) + (1-m)/2) (x + a + j m)**k for j in [0, q).
+
+    With t_j = a + j m the doubled weight 2 w_j = 2 floor(t_j/q) + 1 - m is
+    an integer, so one list of integer sums s_e = sum_j [sign] 2 w_j t_j**e
+    carries the whole polynomial: the coefficient of x**i is
+    C(k, i) s_(k-i) / 2, a q-integer whenever gcd(m, q) = 1 because q or m
+    is odd.
+    """
+    sums = [0] * (k + 1)
     for j in range(q):
-        weight = floor_div(a + j * m, q) + shift
-        if not weight:
-            continue
-        term = weight * UnivariatePolynomial.linear_power(a + j * m, k)
+        t = a + j * m
+        term = 2 * (t // q) + 1 - m
         if alternating and j % 2 == 0:
             term = -term
-        total = total + term
-    return total
+        for e in range(k + 1):
+            sums[e] += term
+            term *= t
+    return UnivariatePolynomial([Fraction(comb(k, i) * sums[k - i], 2) for i in range(k + 1)])
 
 
 def bernoulli_poly_congruence_route(k: int, q: int) -> str:
@@ -437,11 +433,7 @@ def signed_floor_sum_identity(a: int, m: int, q: int) -> tuple[Fraction, Fractio
         raise ValueError(f"m must be >= 1, got {m}")
     if gcd(m, q) != 1:
         raise ValueError(f"m and q must be coprime, got m={m}, q={q}")
-    shift = Fraction(1 - m, 2)
-    computed = Fraction(0)
-    for j in range(q):
-        term = floor_div(a + j * m, q) + shift
-        computed += term if j % 2 else -term
+    computed = _floor_sum_terms(a, m, q, 0, alternating=True).coefficient(0)
     sign = -1 if a % 2 else 1
     return computed, Fraction(m - sign, 2)
 

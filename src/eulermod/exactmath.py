@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Rational = Fraction
@@ -232,19 +232,6 @@ class UnivariatePolynomial:
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
-
-    @classmethod
-    def linear_power(cls, shift: RationalLike, k: int) -> "UnivariatePolynomial":
-        """(x + shift)**k expanded exactly via the binomial theorem."""
-        if k < 0:
-            raise ValueError(f"negative exponent {k}")
-        shift = Fraction(shift)
-        coeffs = [Fraction(0)] * (k + 1)
-        power = Fraction(1)
-        for j in range(k, -1, -1):
-            coeffs[j] = comb(k, j) * power
-            power *= shift
-        return cls(coeffs)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:

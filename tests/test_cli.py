@@ -248,6 +248,16 @@ class TestCheckCommand:
         assert code == cli.EXIT_INTERNAL
         assert "internal inconsistency" in err
 
+    def test_internal_inconsistency_names_claim_and_tuple(self, capsys, monkeypatch):
+        def boom(a, k, m, q):
+            raise InternalInconsistencyError(f"coefficient 2 = 1/2 fell outside the {q}-integers")
+        monkeypatch.setattr(cli.congruences, "check_euler_poly_congruence", boom)
+        code, out, err = run_cli(
+            ["check", "2.3", "--a", "1", "--k", "4", "--m", "3", "--q", "8"], capsys)
+        assert code == cli.EXIT_INTERNAL and out == ""
+        assert ("internal inconsistency: claim 2.3 (a=1, k=4, m=3, q=8): "
+                "coefficient 2 = 1/2 fell outside the 8-integers") in err
+
     @pytest.mark.parametrize("claim,flag,value", [
         (key, name, _OUT_OF_RULE[rule[0]])
         for key, claim in cli.CLAIMS.items()
@@ -283,6 +293,19 @@ class TestSweepAndTable:
         with pytest.raises(SystemExit) as exc:
             cli.main(["stern-table", "--n", "0"])
         assert exc.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["euler-mod2", "2", str(cli.FAST_N_MAX + 1)], cli.FAST_N_MAX),
+    (["bench", "--k", "2", "--n", str(cli.FAST_N_MAX + 1)], cli.FAST_N_MAX),
+    (["stern-table", "--n", str(cli.TABLE_N_MAX + 1)], cli.TABLE_N_MAX),
+])
+def test_oversized_n_refused(argv, cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"between 1 and {cap}" in captured.err and captured.out == ""
 
 
 class TestBench:

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -142,6 +143,11 @@ class TestAlternatingPowerSum:
         with pytest.raises(ValueError):
             alternating_power_sum(3, -1)
 
+    @pytest.mark.parametrize("modulus", [1, 0, -4])
+    def test_rejects_modulus_below_two(self, modulus):
+        with pytest.raises(ValueError, match="modulus"):
+            alternating_power_sum(3, 2, modulus=modulus)
+
 
 class TestEulerModOdd:
     @pytest.mark.parametrize("k,q", [(2, 3), (0, 1), (12, 35), (8, 15), (20, 99)])
@@ -172,6 +178,11 @@ class TestSternSum:
     def test_rejects_even_m(self):
         with pytest.raises(ValueError):
             stern_sum(2, 2, 4)
+
+    @pytest.mark.parametrize("modulus", [1, 0, -4])
+    def test_rejects_modulus_below_two(self, modulus):
+        with pytest.raises(ValueError, match="modulus"):
+            stern_sum(2, 2, 3, modulus=modulus)
 
     @given(st.integers(0, 24), st.integers(1, 7),
            st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15]), st.integers(2, 300))
@@ -328,6 +339,49 @@ class TestSternValuation:
             stern_valuation(3, 1)
 
 
+def _linear_power(shift, k):
+    """(x + shift)**k expanded exactly via the binomial theorem."""
+    return UnivariatePolynomial([comb(k, i) * Fraction(shift) ** (k - i) for i in range(k + 1)])
+
+
+def _floor_sum_reference(a, m, q, k, alternating):
+    """The floor-weighted sum built as q weighted (x + a + j m)**k polynomials."""
+    shift = Fraction(1 - m, 2)
+    total = UnivariatePolynomial()
+    for j in range(q):
+        weight = (a + j * m) // q + shift
+        if not weight:
+            continue
+        term = weight * _linear_power(a + j * m, k)
+        if alternating and j % 2 == 0:
+            term = -term
+        total = total + term
+    return total
+
+
+_rng = random.Random(2004)
+_FLOOR_SUM_POINTS = [Fraction(_rng.randint(-40, 40), _rng.randint(1, 12)) for _ in range(3)]
+
+
+class TestFloorSumTerms:
+    @given(st.integers(-10, 10), st.integers(1, 15), st.integers(2, 32), st.integers(0, 14),
+           st.booleans())
+    @example(-10, 14, 31, 14, True)
+    @example(10, 15, 32, 14, False)
+    @example(3, 1, 2, 0, True)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_polynomial_route_and_defining_sum(self, a, m, q, k, alternating):
+        assume(gcd(m, q) == 1)
+        total = congruences._floor_sum_terms(a, m, q, k, alternating)
+        assert total == _floor_sum_reference(a, m, q, k, alternating)
+        for x in _FLOOR_SUM_POINTS:
+            direct = Fraction(0)
+            for j in range(q):
+                term = ((a + j * m) // q + Fraction(1 - m, 2)) * (x + a + j * m) ** k
+                direct += -term if alternating and j % 2 == 0 else term
+            assert total(x) == direct
+
+
 class TestSignedFloorSum:
     def test_examples(self):
         assert signed_floor_sum_identity(0, 1, 2) == (0, 0)
@@ -393,6 +447,13 @@ class TestEulerPolyCongruence:
     def test_rejects_odd_q(self):
         with pytest.raises(ValueError):
             check_euler_poly_congruence(0, 2, 2, 5)
+
+    def test_coefficient_outside_q_integers_raises(self, monkeypatch):
+        monkeypatch.setattr(congruences, "_floor_sum_terms",
+                            lambda *args, **kwargs: UnivariatePolynomial([0, Fraction(1, 2)]))
+        with pytest.raises(InternalInconsistencyError,
+                           match="coefficient 1 = 1/2 fell outside the 4-integers"):
+            check_euler_poly_congruence(1, 2, 3, 4)
 
     def test_rejects_shared_factor(self):
         with pytest.raises(ValueError):

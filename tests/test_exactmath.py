@@ -249,14 +249,6 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             p.coefficient(-1)
 
-    def test_linear_power_matches_naive(self):
-        shift = Fraction(-1, 2)
-        for k in range(7):
-            power = UnivariatePolynomial.linear_power(shift, k)
-            assert power.degree == k
-            for point in (Fraction(0), Fraction(3), Fraction(-7, 3), Fraction(5, 2)):
-                assert power(point) == (point + shift) ** k
-
     def test_affine_example(self):
         p = UnivariatePolynomial([1, 0, 1])  # x^2 + 1
         assert p.affine(2, 1) == UnivariatePolynomial([2, 4, 4])  # at 2x + 1
