@@ -103,7 +103,7 @@ class KummerResult:
 
 def is_q_integer(x: RationalLike, ctx: QAdicContext) -> bool:
     """True iff the reduced denominator of x is coprime to q."""
-    return gcd(Fraction(x).denominator, ctx.q) == 1
+    return gcd(x.denominator, ctx.q) == 1
 
 
 def congruent_mod(x: RationalLike, y: RationalLike, ctx: QAdicContext) -> CongruenceReport:
@@ -132,15 +132,19 @@ def congruent_mod(x: RationalLike, y: RationalLike, ctx: QAdicContext) -> Congru
 
 def poly_congruent_mod(P: UnivariatePolynomial, Q: UnivariatePolynomial,
                        ctx: QAdicContext) -> bool:
-    """True iff every coefficient pair is congruent mod q (shorter side padded with 0)."""
+    """True iff every coefficient pair is congruent mod q (shorter side padded with 0).
+
+    Every pair is decided, so any coefficient outside the q-integers raises.
+    """
+    holds = True
     for i in range(max(P.degree, Q.degree) + 1):
         cp, cq = P.coefficient(i), Q.coefficient(i)
-        for c in (cp, cq):
-            if not is_q_integer(c, ctx):
-                raise ValueError(f"coefficient {i} = {c} is not a {ctx.q}-integer")
-        if not congruent_mod(cp, cq, ctx).holds:
-            return False
-    return True
+        try:
+            holds &= congruent_mod(cp, cq, ctx).holds
+        except ValueError:
+            c = cq if is_q_integer(cp, ctx) else cp
+            raise ValueError(f"coefficient {i} = {c} fell outside the {ctx.q}-integers") from None
+    return holds
 
 
 def alternating_power_sum(q: int, k: int, modulus: int | None = None) -> int:
@@ -355,6 +359,15 @@ def _floor_sum_terms(a: int, m: int, q: int, k: int, alternating: bool) -> Univa
     return UnivariatePolynomial([Fraction(comb(k, i) * sums[k - i], 2) for i in range(k + 1)])
 
 
+def _decide_poly_claim(lhs: UnivariatePolynomial, rhs: UnivariatePolynomial,
+                       ctx: QAdicContext) -> bool:
+    """``poly_congruent_mod``; a coefficient outside the q-integers falsifies the claim."""
+    try:
+        return poly_congruent_mod(lhs, rhs, ctx)
+    except ValueError as exc:
+        raise InternalInconsistencyError(str(exc)) from exc
+
+
 def bernoulli_poly_congruence_route(k: int, q: int) -> str:
     """Which form the Bernoulli polynomial congruence check runs for (k, q).
 
@@ -371,7 +384,8 @@ def check_bernoulli_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
     Checks (1/k)(m**k B_k((x+a)/m) - B_k(x)) against
     sum_j (floor((a+jm)/q) + (1-m)/2)(x + a + jm)**(k-1) coefficientwise
     mod q.  When 1/k is not a q-integer the k-cleared form is checked
-    instead (see ``bernoulli_poly_congruence_route``).
+    instead (see ``bernoulli_poly_congruence_route``).  A coefficient outside
+    the q-integers would falsify the claim, so it raises, as in 2.3.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -386,8 +400,8 @@ def check_bernoulli_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
     difference = Fraction(m) ** k * b_k.affine(Fraction(1, m), Fraction(a, m)) - b_k
     rhs = _floor_sum_terms(a, m, q, k - 1, alternating=False)
     if bernoulli_poly_congruence_route(k, q) == "stated":
-        return poly_congruent_mod(Fraction(1, k) * difference, rhs, ctx)
-    return poly_congruent_mod(difference, k * rhs, ctx)
+        return _decide_poly_claim(Fraction(1, k) * difference, rhs, ctx)
+    return _decide_poly_claim(difference, k * rhs, ctx)
 
 
 def check_euler_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
@@ -412,13 +426,7 @@ def check_euler_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
     lhs = (Fraction(m ** (k + 1), 2) * e_k.affine(Fraction(1, m), Fraction(a, m))
            - Fraction(sign, 2) * e_k)
     rhs = _floor_sum_terms(a, m, q, k, alternating=True)
-    for poly in (lhs, rhs):
-        for i, c in enumerate(poly.coefficients):
-            if not is_q_integer(c, ctx):
-                raise InternalInconsistencyError(
-                    f"coefficient {i} = {c} fell outside the {q}-integers"
-                )
-    return poly_congruent_mod(lhs, rhs, ctx)
+    return _decide_poly_claim(lhs, rhs, ctx)
 
 
 def signed_floor_sum_identity(a: int, m: int, q: int) -> tuple[Fraction, Fraction]:

@@ -228,7 +228,7 @@ class UnivariatePolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()) -> None:
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(coeffs)

@@ -357,13 +357,9 @@ def save_tables(path, euler: EulerNumberTable | None = None,
     """Persist every memoized index of both tables to the cache file at path."""
     euler = euler if euler is not None else _EULER
     bernoulli = bernoulli if bernoulli is not None else _BERNOULLI
-    lines = []
     with _unlimited_int_str():
-        for n, v in enumerate(euler.snapshot()):
-            lines.append(f"E {n} {v}\n")
-        for n, b in enumerate(bernoulli.snapshot()):
-            frac = str(b.numerator) if b.denominator == 1 else f"{b.numerator}/{b.denominator}"
-            lines.append(f"B {n} {frac}\n")
+        lines = [f"{table._KIND} {n} {value}\n"
+                 for table in (euler, bernoulli) for n, value in enumerate(table.snapshot())]
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as fh:
         fh.writelines(lines)
@@ -487,18 +483,13 @@ def load_tables(path, euler: EulerNumberTable | None = None,
             if _bernoulli_row(b_values, probe) != b_values[probe]:
                 raise CacheError(f"{path}: tamper check failed re-deriving B {probe}")
 
-    with euler._lock:
-        overlap = min(euler.computed_up_to, len(e_values) - 1)
-        for n in range(overlap + 1):
-            if euler._values[n] != e_values[n]:
-                raise CacheError(f"{path}: cached E {n} disagrees with the computed table")
-        euler._values.extend(e_values[euler.computed_up_to + 1:])
-
-    with bernoulli._lock:
-        overlap = min(bernoulli.computed_up_to, len(b_values) - 1)
-        for n in range(overlap + 1):
-            if bernoulli._values[n] != b_values[n]:
-                raise CacheError(f"{path}: cached B {n} disagrees with the computed table")
-        bernoulli._values.extend(b_values[bernoulli.computed_up_to + 1:])
+    for table, values in ((euler, e_values), (bernoulli, b_values)):
+        with table._lock:
+            overlap = min(table.computed_up_to, len(values) - 1)
+            for n in range(overlap + 1):
+                if table._values[n] != values[n]:
+                    raise CacheError(f"{path}: cached {table._KIND} {n} disagrees with the "
+                                     "computed table")
+            table._values.extend(values[table.computed_up_to + 1:])
 
     return len(e_values) - 1, len(b_values) - 1

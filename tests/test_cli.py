@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from eulermod import cli, special
-from eulermod.exactmath import InternalInconsistencyError
+from eulermod.exactmath import InternalInconsistencyError, UnivariatePolynomial
 
 REQUIRED_FIELDS = {"claim", "parameters", "holds", "modulus", "lhs", "rhs"}
 
@@ -257,6 +257,16 @@ class TestCheckCommand:
         assert code == cli.EXIT_INTERNAL and out == ""
         assert ("internal inconsistency: claim 2.3 (a=1, k=4, m=3, q=8): "
                 "coefficient 2 = 1/2 fell outside the 8-integers") in err
+
+    def test_bernoulli_coefficient_outside_q_integers_exits_three(self, capsys, monkeypatch):
+        real = cli.congruences._floor_sum_terms
+        monkeypatch.setattr(cli.congruences, "_floor_sum_terms", lambda *args, **kwargs: (
+            UnivariatePolynomial([*real(*args, **kwargs).coefficients, *[0] * 8, Fraction(1, 2)])))
+        code, out, err = run_cli(
+            ["check", "2.2", "--a", "1", "--k", "3", "--m", "3", "--q", "4"], capsys)
+        assert code == cli.EXIT_INTERNAL and out == ""
+        assert ("internal inconsistency: claim 2.2 (a=1, k=3, m=3, q=4): "
+                "coefficient 10 = 1/2 fell outside the 4-integers") in err
 
     @pytest.mark.parametrize("claim,flag,value", [
         (key, name, _OUT_OF_RULE[rule[0]])

@@ -121,8 +121,10 @@ class TestPolyCongruentMod:
 
     def test_bad_coefficient_names_index(self):
         p = UnivariatePolynomial([0, Fraction(1, 2)])
-        with pytest.raises(ValueError, match="coefficient 1"):
-            poly_congruent_mod(p, p, QAdicContext(4))
+        # the second input's constant pair already fails; coefficient 1 must still be decided
+        for lhs, rhs in ((p, p), (p + 1, p)):
+            with pytest.raises(ValueError, match="coefficient 1"):
+                poly_congruent_mod(lhs, rhs, QAdicContext(4))
 
 
 class TestAlternatingPowerSum:
@@ -428,6 +430,14 @@ class TestBernoulliPolyCongruence:
     def test_rejects_zero_k(self):
         with pytest.raises(ValueError):
             check_bernoulli_poly_congruence(0, 0, 1, 3)
+
+    def test_coefficient_outside_q_integers_raises(self, monkeypatch):
+        real = congruences._floor_sum_terms
+        monkeypatch.setattr(congruences, "_floor_sum_terms", lambda *args, **kwargs: (
+            UnivariatePolynomial([*real(*args, **kwargs).coefficients, *[0] * 8, Fraction(1, 2)])))
+        with pytest.raises(InternalInconsistencyError,
+                           match="coefficient 10 = 1/2 fell outside the 4-integers"):
+            check_bernoulli_poly_congruence(1, 3, 3, 4)
 
 
 class TestEulerPolyCongruence:

@@ -238,6 +238,15 @@ class TestPolynomial:
         p = UnivariatePolynomial([1, 2, 0, 0])
         assert p.degree == 1 and p.coefficients == (Fraction(1), Fraction(2))
 
+    def test_coefficients_are_fractions(self):
+        built = [UnivariatePolynomial(c) for c in
+                 ([1, 2, 3], [Fraction(1, 2), Fraction(4)], [1, Fraction(1, 3), True])]
+        p = built[2]
+        derived = [p + built[0], p + 1, p - built[1], 1 - p, -p, p * 3, p * Fraction(1, 2),
+                   p.affine(2, Fraction(1, 3)), p.affine(Fraction(1, 2), 0)]
+        for poly in built + derived:
+            assert poly.coefficients and all(type(c) is Fraction for c in poly.coefficients)
+
     def test_zero_degree_sentinel(self):
         assert UnivariatePolynomial().degree == -1
         assert UnivariatePolynomial([0, 0]).degree == -1

@@ -414,6 +414,15 @@ class TestCacheFile:
             load_tables(path, euler=EulerNumberTable(), bernoulli=BernoulliNumberTable())
         assert len(str(exc.value)) < len(str(path)) + 200
 
+    @pytest.mark.parametrize("kind", ["E", "B"])
+    def test_disagreement_names_kind_and_index(self, tmp_path, kind):
+        path = tmp_path / "tables.cache"
+        save_tables(path, *self._fresh_pair())
+        e, b = self._fresh_pair()
+        (e if kind == "E" else b)._values[4] += 2
+        with pytest.raises(CacheError, match=f"cached {kind} 4 disagrees with the computed table"):
+            load_tables(path, euler=e, bernoulli=b, rng=random.Random(0))
+
     def test_disagreement_with_computed_prefix_refused(self, tmp_path):
         path = tmp_path / "tables.cache"
         # a cache that is self-consistent but from a different sequence: E_0 only
