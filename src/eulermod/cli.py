@@ -33,10 +33,11 @@ EXIT_INTERNAL = 3
 CACHE_ENV = "EULERMOD_CACHE"
 
 # Largest n the fast-path commands accept.  The kernel holds about 2**n/3
-# ints, so euler-mod2 and bench at n = 24 take about 10 s; stern-table steps
-# them through 2**(n-1) rows, so n = 14 takes about 5 s and n = 16 about 75 s.
+# ints, so euler-mod2 and bench at n = 24 take about 10 s; stern-table sums
+# about 2**n/3 terms once per binomial order and spends ceil(n/3) products
+# on each of its 2**(n-1) rows, so n = 20 takes about 7 s, half of it output.
 FAST_N_MAX = 24
-TABLE_N_MAX = 14
+TABLE_N_MAX = 20
 
 __all__ = [
     "main",
@@ -426,12 +427,8 @@ def cache_roundtrip(path) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_params(parameters: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in parameters.items())
-
-
-def _fmt_detail(detail: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in detail.items())
+def _fmt_pairs(pairs: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in pairs.items())
 
 
 def _emit_check_records(records: list[dict], fmt: str, out) -> None:
@@ -444,18 +441,18 @@ def _emit_check_records(records: list[dict], fmt: str, out) -> None:
         writer.writerow(["claim", "parameters", "holds", "modulus", "lhs", "rhs",
                          "witness", "detail"])
         for r in records:
-            writer.writerow([r["claim"], _fmt_params(r["parameters"]), r["holds"],
+            writer.writerow([r["claim"], _fmt_pairs(r["parameters"]), r["holds"],
                              r["modulus"], r["lhs"], r["rhs"], r["witness"] or "",
-                             _fmt_detail(r["detail"])])
+                             _fmt_pairs(r["detail"])])
         return
     failed = 0
     for r in records:
         if r["holds"]:
-            out.write(f"ok   {r['claim']} {_fmt_params(r['parameters'])}\n")
+            out.write(f"ok   {r['claim']} {_fmt_pairs(r['parameters'])}\n")
         else:
             failed += 1
             out.write(
-                f"FAIL {r['claim']} {_fmt_params(r['parameters'])} "
+                f"FAIL {r['claim']} {_fmt_pairs(r['parameters'])} "
                 f"(mod {r['modulus']}): lhs={r['lhs']} rhs={r['rhs']} "
                 f"witness={r['witness']}\n"
             )

@@ -114,7 +114,7 @@ def congruent_mod(x: RationalLike, y: RationalLike, ctx: QAdicContext) -> Congru
     Disagreement would mean the congruence layer itself is broken, so it
     raises instead of returning.
     """
-    x, y = Fraction(x), Fraction(y)
+    x, y = (v if type(v) is Fraction else Fraction(v) for v in (x, y))
     for value in (x, y):
         if not is_q_integer(value, ctx):
             raise ValueError(f"{value} is not a {ctx.q}-integer")
@@ -241,36 +241,18 @@ def _folded_terms(n: int) -> int:
     return ((1 << n) - 2) // 3 + 1
 
 
-def _euler_mod_2n_run(k: int, n: int, count: int) -> list[int]:
-    """E_k, E_(k+2), ..., E_(k+2(count-1)) mod 2**n; k even, n >= 1, count >= 1.
+def _cleared_residue(k: int, n: int, three: int, half_s: int) -> int:
+    """c**-1 * 3**k * (S/2) mod 2**n from three = 3**k mod 2**(n+2); see ``euler_mod_2n``.
 
-    The one kernel behind ``euler_mod_2n`` and ``stern_table``; see the
-    former for the identities it rests on.
+    E_k is odd for even k, so an even residue falsifies the congruence and raises.
     """
     target = 1 << n
-    wide = target << 2
-    r = k % target  # both unit groups below have exponent dividing 2**n
-    xs = range(1, 2 * _folded_terms(n), 2)
-    # S/2 = sum_{j<J} (-1)**j x_j**k (mod 2**(n+1)); only S/2 mod 2**n enters
-    terms = list(map(pow, xs, repeat(r), repeat(target)))
-    three = pow(3, r, wide)  # 3**k mod 2**(n+2) fixes (3**(k+1) + 1)/4 mod 2**n
-    if count > 1:
-        squares = [x * x % target for x in xs]
-    residues = []
-    for step in range(count):
-        half_s = (sum(terms[0::2]) - sum(terms[1::2])) % target
-        c = (3 * three + 1) // 4
-        residue = pow(c, -1, target) * three * half_s % target
-        if residue % 2 == 0:
-            raise InternalInconsistencyError(
-                f"E_k mod 2**n came out even for k={k + 2 * step}, n={n}; "
-                "E_k is odd for even k, so the cleared congruence fails"
-            )
-        residues.append(residue)
-        if step + 1 < count:
-            terms = [t * q % target for t, q in zip(terms, squares)]
-            three = three * 9 % wide
-    return residues
+    c = (3 * three + 1) // 4
+    residue = pow(c, -1, target) * three * half_s % target
+    if residue % 2 == 0:
+        raise InternalInconsistencyError(f"E_k mod 2**n came out even for k={k}, n={n}; E_k "
+                                         "is odd for even k, so the cleared congruence fails")
+    return residue
 
 
 def euler_mod_2n(k: int, n: int) -> int:
@@ -293,29 +275,48 @@ def euler_mod_2n(k: int, n: int) -> int:
       so every power uses k mod 2**n instead of k.
 
     Cost is at most about (2**n/3) * 2n modular multiplications, whatever the
-    size of k.  E_k is odd for even k; an even residue would falsify the
-    congruence, so it raises loudly.  ``stern_sum`` and
-    ``alternating_power_sum`` stay unfolded: they are the independent route
-    that certifies these identities.
+    size of k.  ``stern_sum`` and ``alternating_power_sum`` stay unfolded:
+    they are the independent route that certifies these identities.
     """
     if k < 0 or k % 2:
         raise ValueError(f"k must be even and >= 0, got {k}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _euler_mod_2n_run(k, n, 1)[0]
+    target = 1 << n
+    r = k % target
+    # S/2 = sum_{j<J} (-1)**j x_j**k (mod 2**(n+1)); only S/2 mod 2**n enters
+    terms = list(map(pow, range(1, 2 * _folded_terms(n), 2), repeat(r), repeat(target)))
+    return _cleared_residue(k, n, pow(3, r, target << 2), sum(terms[0::2]) - sum(terms[1::2]))
 
 
 def stern_table(n: int) -> dict[int, int]:
     """E_k mod 2**n for every even k in [0, 2**n - 2], keyed by k.
 
     Stern's law E_k = E_(k mod 2**n) (mod 2**n) makes this the whole
-    periodic table.  It runs the ``euler_mod_2n`` kernel once: each term
-    x_j**k steps to x_j**(k+2) with one multiply by x_j**2, and 3**k by 9,
-    instead of re-powering for every k.
+    periodic table.  It takes the folded sum of ``euler_mod_2n`` by a
+    second route, the binomial expansion: with k = 2t,
+
+        x_j**k = (1 + 4j(j+1))**t = sum_i C(t, i) (4j(j+1))**i,
+
+    and 8**i divides (4j(j+1))**i, so the terms with 3i >= n vanish and
+
+        S/2 = sum_{i < ceil(n/3)} C(t, i) A_i   (mod 2**n),
+        A_i = sum_{j<J} (-1)**j (4j(j+1))**i.
+
+    The A_i are summed once per n; each row costs ceil(n/3) products and steps 3**k by 9.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return dict(zip(range(0, 1 << n, 2), _euler_mod_2n_run(0, n, 1 << (n - 1))))
+    target = 1 << n
+    ys = [4 * j * (j + 1) for j in range(_folded_terms(n))]
+    sums = [sum(map(pow, ys[0::2], repeat(i), repeat(target)))
+            - sum(map(pow, ys[1::2], repeat(i), repeat(target))) for i in range((n + 2) // 3)]
+    table, three = {}, 1
+    for t in range(target >> 1):
+        half_s = sum(comb(t, i) * a for i, a in enumerate(sums))
+        table[2 * t] = _cleared_residue(2 * t, n, three, half_s)
+        three = three * 9 % (target << 2)
+    return table
 
 
 def check_power_sum_divisibility(k: int, n: int) -> bool:
