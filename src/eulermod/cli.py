@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -32,10 +33,10 @@ EXIT_INTERNAL = 3
 
 CACHE_ENV = "EULERMOD_CACHE"
 
-# Largest n the fast-path commands accept.  The kernel holds about 2**n/3
-# ints, so euler-mod2 and bench at n = 24 take about 10 s; stern-table sums
-# about 2**n/3 terms once per binomial order and spends ceil(n/3) products
-# on each of its 2**(n-1) rows, so n = 20 takes about 7 s, half of it output.
+# Largest n the fast-path commands accept.  The kernel streams about 2**n/6
+# powers and holds none of them, so euler-mod2 and bench at n = 24 take about
+# 4.5 s; stern-table sums about 2**n/3 terms once per binomial order and spends
+# ceil(n/3) products on each of its 2**(n-1) rows, so n = 20 takes about 4.5 s.
 FAST_N_MAX = 24
 TABLE_N_MAX = 20
 
@@ -359,10 +360,10 @@ def _powering_mult_count(exponent: int) -> int:
 
 
 def _fast_path_mult_count(k: int, n: int) -> int:
-    # the folded kernel powers its J terms and 3 by k mod 2^n, then spends
+    # the folded kernel powers its terms and 3 by k mod 2^n, then spends
     # three multiplies on the coefficient and the final product
     ladder = _powering_mult_count(k % (1 << n))
-    return (congruences._folded_terms(n) + 1) * ladder + 3
+    return (congruences._kernel_terms(n) + 1) * ladder + 3
 
 
 @dataclass(frozen=True)
@@ -461,14 +462,17 @@ def _emit_check_records(records: list[dict], fmt: str, out) -> None:
 
 
 def _emit_value_records(command: str, rows: list[tuple[dict, object]], fmt: str, out) -> None:
+    # every row carries the same int parameters in the same order
+    keys = list(rows[0][0]) if rows else []
     if fmt == "json":
-        for parameters, value in rows:
-            out.write(json.dumps(
-                {"command": command, "parameters": parameters, "value": str(value)}) + "\n")
+        # the bytes of json.dumps({"command", "parameters", "value": str(value)}),
+        # from one template: an int or Fraction value needs no escaping
+        template = (f'{{"command": {json.dumps(command)}, "parameters": {{'
+                    + ", ".join(f"{json.dumps(k)}: %d" for k in keys) + '}, "value": "%s"}\n')
+        out.writelines(template % (*parameters.values(), value) for parameters, value in rows)
         return
     if fmt == "csv":
         writer = csv.writer(out)
-        keys = list(rows[0][0]) if rows else []
         writer.writerow(keys + ["value"])
         for parameters, value in rows:
             writer.writerow([parameters[k] for k in keys] + [str(value)])
@@ -694,8 +698,14 @@ def _merge_negative_ranges(argv: Sequence[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use and kept: in-process callers of main pay for it once
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(_merge_negative_ranges(
         sys.argv[1:] if argv is None else argv))
 

@@ -241,6 +241,11 @@ def _folded_terms(n: int) -> int:
     return ((1 << n) - 2) // 3 + 1
 
 
+def _kernel_terms(n: int) -> int:
+    """How many x_j ``euler_mod_2n`` powers: J(n - 1) after the second fold, 1 for n = 1."""
+    return _folded_terms(n - 1) if n > 1 else 1
+
+
 def _cleared_residue(k: int, n: int, three: int, half_s: int) -> int:
     """c**-1 * 3**k * (S/2) mod 2**n from three = 3**k mod 2**(n+2); see ``euler_mod_2n``.
 
@@ -264,19 +269,25 @@ def euler_mod_2n(k: int, n: int) -> int:
         E_k  =  c**-1 * 3**k * (S/2)   (mod 2**n),   c = (3**(k+1) + 1)/4,
 
     where S = sum_j (-1)**(j-1) w_j x_j**k over j in [0, 2**n), and c is
-    odd for even k.  Two exact identities make S cheap:
+    odd for even k.  Three exact identities make S cheap:
 
     - Fold.  For j' = 2**n-1-j, x_j' = 2**(n+1) - x_j, so x_j'**k = x_j**k
       (mod 2**(n+2)) for even k; j and j' have opposite signs and
       w_j + w_j' = 2.  The middle terms (weight 1) cancel in pairs, and
       S = 2 sum_{j<J} (-1)**j x_j**k (mod 2**(n+2)), where J, about 2**n/3,
       counts the weight-0 terms.
+    - Second fold.  Only S/2 mod 2**n enters, and for n >= 2 the index
+      j' = 2**(n-1)-1-j gives x_j' = 2**n - x_j, the same even power mod
+      2**n, with the opposite sign.  The pairs with both j, j' < J cancel,
+      which leaves S/2 = sum_{j<J(n-1)} (-1)**j x_j**k (mod 2**n), about
+      2**n/6 terms (``_kernel_terms``).
     - Exponent reduction.  The unit group mod 2**(n+2) has exponent 2**n,
       so every power uses k mod 2**n instead of k.
 
-    Cost is at most about (2**n/3) * 2n modular multiplications, whatever the
-    size of k.  ``stern_sum`` and ``alternating_power_sum`` stay unfolded:
-    they are the independent route that certifies these identities.
+    Cost is at most about (2**n/6) * 2n modular multiplications, whatever the
+    size of k.  ``stern_table`` sums all J terms, so it checks the second
+    fold; ``stern_sum`` and ``alternating_power_sum`` stay unfolded: they are
+    the independent route that certifies these identities.
     """
     if k < 0 or k % 2:
         raise ValueError(f"k must be even and >= 0, got {k}")
@@ -284,17 +295,20 @@ def euler_mod_2n(k: int, n: int) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     target = 1 << n
     r = k % target
-    # S/2 = sum_{j<J} (-1)**j x_j**k (mod 2**(n+1)); only S/2 mod 2**n enters
-    terms = list(map(pow, range(1, 2 * _folded_terms(n), 2), repeat(r), repeat(target)))
-    return _cleared_residue(k, n, pow(3, r, target << 2), sum(terms[0::2]) - sum(terms[1::2]))
+    # x_j = 1, 5, 9, ... for even j and 3, 7, 11, ... for odd j
+    end = 2 * _kernel_terms(n)
+    half_s = (sum(map(pow, range(1, end, 4), repeat(r), repeat(target)))
+              - sum(map(pow, range(3, end, 4), repeat(r), repeat(target))))
+    return _cleared_residue(k, n, pow(3, r, target << 2), half_s)
 
 
 def stern_table(n: int) -> dict[int, int]:
     """E_k mod 2**n for every even k in [0, 2**n - 2], keyed by k.
 
     Stern's law E_k = E_(k mod 2**n) (mod 2**n) makes this the whole
-    periodic table.  It takes the folded sum of ``euler_mod_2n`` by a
-    second route, the binomial expansion: with k = 2t,
+    periodic table.  It sums S/2 over all J folded terms by a second route,
+    the binomial expansion, without the second fold of ``euler_mod_2n``, so
+    the two routes check each other: with k = 2t,
 
         x_j**k = (1 + 4j(j+1))**t = sum_i C(t, i) (4j(j+1))**i,
 

@@ -79,6 +79,27 @@ class TestValueCommands:
         code, out, _ = run_cli(["euler-mod2", "2", "2"], capsys)
         assert code == 0 and out == "3\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["stern-table", "--n", "5"],
+        ["euler", "12", "--mod", "35"],
+        ["bernoulli", "12"],
+    ])
+    def test_json_lines_are_json_dumps(self, argv, capsys):
+        # value records are written from a template; the bytes must stay json.dumps'
+        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0 and out
+        assert out == "".join(json.dumps(r) + "\n" for r in json_records(out))
+
+    def test_usage_error_then_valid_command(self, capsys):
+        # main keeps one parser per process: a refused call must leave no trace
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["euler", "6", "--mod", "1", "--format", "json"])
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--mod must be >= 2" in captured.err and captured.out == ""
+        code, out, err = run_cli(["euler", "6"], capsys)
+        assert code == 0 and out == "-61\n" and err == ""
+
     def test_large_euler_prints_all_digits(self, capsys):
         # E_1800 has ~4700 digits, beyond the default int -> str conversion limit
         code, out, _ = run_cli(["euler", "1800"], capsys)
@@ -350,6 +371,11 @@ class TestBench:
         report = cli.bench_report(0, 1)
         assert report.fast_residue == report.exact_residue == 1
         assert report.agree is True
+
+    def test_multiplication_count_matches_kernel(self):
+        # 10**6 = 16960 (mod 2**16) costs a 16-multiply ladder, run for the
+        # J(15) = 10923 terms of the second fold and for 3**k, plus 3 more
+        assert cli.bench_report(10 ** 6, 16, cutoff=0).fast_multiplications == 174787
 
     def test_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -277,6 +277,19 @@ class TestFoldedKernel:
                              for j in range(folded_terms))
             assert stern_sum(k, n, 3, modulus=wide) == folded % wide
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_second_fold_identity(self, n):
+        # x_j and x_(2**(n-1)-1-j) = 2**n - x_j cancel mod 2**n, leaving J(n-1) terms
+        target = 1 << n
+        folded_terms = congruences._folded_terms(n)
+        half_terms = congruences._folded_terms(n - 1)
+        assert half_terms == (1 << (n - 1)) - folded_terms
+        assert congruences._kernel_terms(n) == half_terms
+        for k in (0, 2, 4, 38, target, target + 2, 3 ** 21 + 1):
+            full, half = (sum((-1) ** j * pow(2 * j + 1, k, target) for j in range(terms))
+                          for terms in (folded_terms, half_terms))
+            assert full % target == half % target
+
     @given(even_k, st.integers(1, 12))
     @example(10 ** 12, 12)
     @settings(max_examples=60, deadline=None)
