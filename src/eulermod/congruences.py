@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import comb, gcd
 
@@ -374,6 +375,22 @@ def _floor_sum_terms(a: int, m: int, q: int, k: int, alternating: bool) -> Univa
     return UnivariatePolynomial([Fraction(comb(k, i) * sums[k - i], 2) for i in range(k + 1)])
 
 
+@lru_cache(maxsize=1)
+def _bernoulli_lhs(b_k: UnivariatePolynomial, a: int, k: int,
+                   m: int) -> tuple[UnivariatePolynomial, UnivariatePolynomial]:
+    """(m**k B_k((x+a)/m) - B_k(x), and that times 1/k): claim 2.2's cleared and stated sides."""
+    difference = Fraction(m) ** k * b_k.affine(Fraction(1, m), Fraction(a, m)) - b_k
+    return difference, Fraction(1, k) * difference
+
+
+@lru_cache(maxsize=1)
+def _euler_lhs(e_k: UnivariatePolynomial, a: int, k: int, m: int) -> UnivariatePolynomial:
+    """(m**(k+1)/2) E_k((x+a)/m) - ((-1)**a/2) E_k(x): claim 2.3's left side."""
+    sign = -1 if a % 2 else 1
+    return (Fraction(m ** (k + 1), 2) * e_k.affine(Fraction(1, m), Fraction(a, m))
+            - Fraction(sign, 2) * e_k)
+
+
 def _decide_poly_claim(lhs: UnivariatePolynomial, rhs: UnivariatePolynomial,
                        ctx: QAdicContext) -> bool:
     """``poly_congruent_mod``; a coefficient outside the q-integers falsifies the claim."""
@@ -401,6 +418,13 @@ def check_bernoulli_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
     mod q.  When 1/k is not a q-integer the k-cleared form is checked
     instead (see ``bernoulli_poly_congruence_route``).  A coefficient outside
     the q-integers would falsify the claim, so it raises, as in 2.3.
+
+    The left side does not depend on q, so both of its forms are memoized
+    for the last (B_k, a, k, m) (``_bernoulli_lhs``): a sweep with q
+    innermost builds them once per (a, k, m).  The key holds the source
+    polynomial B_k itself, not only k, so a changed B_k (a monkeypatched
+    one, say) is never answered with the old left side.  The floor sum and
+    the decision still run for every q.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -411,11 +435,10 @@ def check_bernoulli_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
     if gcd(m, q) != 1:
         raise ValueError(f"m and q must be coprime, got m={m}, q={q}")
     ctx = QAdicContext(q)
-    b_k = special.bernoulli_polynomial(k)
-    difference = Fraction(m) ** k * b_k.affine(Fraction(1, m), Fraction(a, m)) - b_k
+    difference, stated = _bernoulli_lhs(special.bernoulli_polynomial(k), a, k, m)
     rhs = _floor_sum_terms(a, m, q, k - 1, alternating=False)
     if bernoulli_poly_congruence_route(k, q) == "stated":
-        return _decide_poly_claim(Fraction(1, k) * difference, rhs, ctx)
+        return _decide_poly_claim(stated, rhs, ctx)
     return _decide_poly_claim(difference, k * rhs, ctx)
 
 
@@ -426,6 +449,12 @@ def check_euler_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
     sum_j (-1)**(j-1)(floor((a+jm)/q) + (1-m)/2)(x + a + jm)**k mod even q.
     Every coefficient must land in the q-integers despite the halves; one
     that does not would falsify the claim, so it raises rather than returns.
+
+    The left side does not depend on q, so it is memoized for the last
+    (E_k, a, k, m) (``_euler_lhs``): a sweep with q innermost builds it once
+    per (a, k, m).  The key holds the source polynomial E_k itself, not only
+    k, so a changed E_k (a monkeypatched one, say) is never answered with
+    the old left side.  The floor sum and the decision still run for every q.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -436,10 +465,7 @@ def check_euler_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     ctx = QAdicContext(q)
-    e_k = special.euler_polynomial(k)
-    sign = -1 if a % 2 else 1
-    lhs = (Fraction(m ** (k + 1), 2) * e_k.affine(Fraction(1, m), Fraction(a, m))
-           - Fraction(sign, 2) * e_k)
+    lhs = _euler_lhs(special.euler_polynomial(k), a, k, m)
     rhs = _floor_sum_terms(a, m, q, k, alternating=True)
     return _decide_poly_claim(lhs, rhs, ctx)
 

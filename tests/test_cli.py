@@ -289,6 +289,26 @@ class TestCheckCommand:
         assert ("internal inconsistency: claim 2.2 (a=1, k=3, m=3, q=4): "
                 "coefficient 10 = 1/2 fell outside the 4-integers") in err
 
+    @pytest.mark.parametrize("claim,k,source,routes", [
+        ("2.2", 3, "bernoulli_polynomial", ["stated", "stated", "cleared", "stated", "stated"]),
+        ("2.3", 4, "euler_polynomial", [None] * 5),
+    ])
+    def test_left_side_built_once_per_a_k_m(self, claim, k, source, routes, capsys,
+                                            monkeypatch):
+        check = cli.CLAIMS[claim].run_one
+        getattr(special, source)(k)  # the polynomial itself is built by affine once, cached
+        check((0, k, 5, 2))  # evict (1, k, 5) from the one-entry memo
+        calls = []
+        affine = UnivariatePolynomial.affine
+        monkeypatch.setattr(UnivariatePolynomial, "affine",
+                            lambda self, *args: calls.append(args) or affine(self, *args))
+        code, out, _ = run_cli(["check", claim, "--a", "1", "--k", str(k), "--m", "5",
+                                "--q", "2,4,6,8,16", "--format", "json"], capsys)
+        records = json_records(out)
+        assert code == 0 and all(r["holds"] for r in records)
+        assert [r["detail"].get("route") for r in records] == routes
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("claim,flag,value", [
         (key, name, _OUT_OF_RULE[rule[0]])
         for key, claim in cli.CLAIMS.items()
@@ -324,6 +344,14 @@ class TestSweepAndTable:
         with pytest.raises(SystemExit) as exc:
             cli.main(["stern-table", "--n", "0"])
         assert exc.value.code == cli.EXIT_USAGE
+
+    def test_sweep_kmax_capped(self, capsys):
+        # refused before any record is built
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "stern", "--kmax", str(cli.SWEEP_K_MAX + 2)])
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"between 2 and {cli.SWEEP_K_MAX}" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("argv,cap", [

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import comb, gcd
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from eulermod import congruences
+from eulermod import congruences, special
 from eulermod.congruences import (
     QAdicContext,
     adams_thangadurai_valuation,
@@ -490,6 +492,48 @@ class TestEulerPolyCongruence:
     def test_rejects_shared_factor(self):
         with pytest.raises(ValueError):
             check_euler_poly_congruence(0, 2, 3, 6)
+
+
+class TestLeftSideMemo:
+    """The memoized left side of 2.2 and 2.3 follows a changed source polynomial."""
+
+    @pytest.mark.parametrize("check,source,q", [
+        (check_bernoulli_poly_congruence, "bernoulli_polynomial", 4),  # stated route
+        (check_bernoulli_poly_congruence, "bernoulli_polynomial", 6),  # cleared route
+        (check_euler_poly_congruence, "euler_polynomial", 4),
+    ])
+    def test_skewed_source_not_served_stale(self, check, source, q, monkeypatch):
+        # (a, k, m) = (1, 3, 11): the skew by 1/7 falsifies all three instances
+        assert check(1, 3, 11, q)
+        exact = getattr(special, source)
+        monkeypatch.setattr(special, source, lambda n: exact(n) + Fraction(1, 7))
+        assert not check(1, 3, 11, q)
+
+    def test_threads_get_their_own_left_side(self):
+        e_6 = special.euler_polynomial(6)
+        tuples = [(a, 6, 5) for a in range(4)]  # one (a, k, m) per thread, more threads than cores
+        expected = {t: congruences._euler_lhs(e_6, *t) for t in tuples}
+        start = threading.Barrier(len(tuples))
+        wrong = []
+
+        def run(t):
+            start.wait()
+            for _ in range(300):
+                if congruences._euler_lhs(e_6, *t) != expected[t]:
+                    wrong.append(t)
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in tuples]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestKummer:
