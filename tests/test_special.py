@@ -385,6 +385,21 @@ class TestCacheFile:
         with pytest.raises(CacheError, match="E 0"):
             load_tables(path, euler=EulerNumberTable(), bernoulli=BernoulliNumberTable())
 
+    @pytest.mark.parametrize("records,kind,index", [
+        ("B 0 2", "B", 0),
+        ("B 0 1\nB 1 1/2", "B", 1),
+        ("B 0 1\nB 1 -1/2\nB 2 1/6\nB 3 1/7", "B", 3),
+        ("E 0 1\nE 1 0\nE 2 2", "E", 2),
+        ("E 0 1\nE 1 0\nE 2 1/2", "E", 2),
+    ], ids=["B0", "B1", "odd-B3", "even-E2", "non-integer-E2"])
+    def test_structural_refusal_names_kind_and_index(self, tmp_path, records, kind, index):
+        path = tmp_path / "structure.cache"
+        path.write_text(records + "\n")
+        e, b = EulerNumberTable(), BernoulliNumberTable()
+        with pytest.raises(CacheError, match=rf": {kind} {index} (must|is) "):
+            load_tables(path, euler=e, bernoulli=b)
+        assert e.computed_up_to == b.computed_up_to == 0
+
     def test_nonzero_odd_index_refused(self, tmp_path):
         path = tmp_path / "odd.cache"
         path.write_text("E 0 1\nE 1 2\n")
