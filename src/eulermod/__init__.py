@@ -6,107 +6,11 @@ them exactly, and machine-checks the congruence, identity, and valuation
 claims the fast evaluator rests on.
 """
 
-from .congruences import (
-    CongruenceReport,
-    KummerResult,
-    QAdicContext,
-    ValuationRecord,
-    adams_thangadurai_valuation,
-    alternating_power_sum,
-    check_bernoulli_poly_congruence,
-    check_euler_mod_odd,
-    check_euler_mod_two_power,
-    check_euler_poly_congruence,
-    check_power_sum_divisibility,
-    congruent_mod,
-    euler_mod_2n,
-    is_q_integer,
-    kummer_check,
-    poly_congruent_mod,
-    signed_floor_sum_identity,
-    stern_sum,
-    stern_table,
-    stern_valuation,
-)
-from .exactmath import (
-    InternalInconsistencyError,
-    NotInvertibleError,
-    OddResidueDecomposition,
-    Rational,
-    UnivariatePolynomial,
-    decompose_odd_residue,
-    extended_gcd,
-    floor_div,
-    is_prime,
-    mod_inverse,
-    mod_pow,
-    multiplicative_order,
-    v_adic,
-)
-from .special import (
-    BernoulliNumberTable,
-    CacheError,
-    EulerNumberTable,
-    bernoulli_number,
-    bernoulli_polynomial,
-    check_euler_bernoulli_relation,
-    check_raabe,
-    check_reflection,
-    euler_number,
-    euler_polynomial,
-    load_tables,
-    save_tables,
-    secant_series_oracle,
-)
+from . import congruences, exactmath, special
+from .congruences import *  # noqa: F403
+from .exactmath import *  # noqa: F403
+from .special import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Rational",
-    "UnivariatePolynomial",
-    "OddResidueDecomposition",
-    "NotInvertibleError",
-    "InternalInconsistencyError",
-    "floor_div",
-    "is_prime",
-    "v_adic",
-    "mod_pow",
-    "extended_gcd",
-    "mod_inverse",
-    "multiplicative_order",
-    "decompose_odd_residue",
-    "EulerNumberTable",
-    "BernoulliNumberTable",
-    "CacheError",
-    "euler_number",
-    "bernoulli_number",
-    "euler_polynomial",
-    "bernoulli_polynomial",
-    "check_raabe",
-    "check_euler_bernoulli_relation",
-    "check_reflection",
-    "secant_series_oracle",
-    "save_tables",
-    "load_tables",
-    "QAdicContext",
-    "CongruenceReport",
-    "ValuationRecord",
-    "KummerResult",
-    "is_q_integer",
-    "congruent_mod",
-    "poly_congruent_mod",
-    "alternating_power_sum",
-    "check_euler_mod_odd",
-    "stern_sum",
-    "check_euler_mod_two_power",
-    "euler_mod_2n",
-    "stern_table",
-    "check_power_sum_divisibility",
-    "stern_valuation",
-    "check_bernoulli_poly_congruence",
-    "check_euler_poly_congruence",
-    "signed_floor_sum_identity",
-    "kummer_check",
-    "adams_thangadurai_valuation",
-    "__version__",
-]
+__all__ = [*exactmath.__all__, *special.__all__, *congruences.__all__, "__version__"]

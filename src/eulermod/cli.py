@@ -120,14 +120,10 @@ def _check_record(claim: str, parameters: dict, holds: bool, modulus: int,
     }
 
 
-def _record_from_report(claim: str, parameters: dict, report,
-                        holds: bool | None = None, detail: dict | None = None) -> dict:
-    return _check_record(
-        claim, parameters,
-        report.holds if holds is None else holds,
-        report.modulus, str(report.lhs), str(report.rhs),
-        witness=str(report.quotient_witness), detail=detail,
-    )
+def _report_fields(report, holds: bool | None = None, detail: dict | None = None) -> tuple:
+    """A claim runner's (holds, modulus, lhs, rhs, witness, detail) from a CongruenceReport."""
+    return (report.holds if holds is None else holds, report.modulus,
+            str(report.lhs), str(report.rhs), str(report.quotient_witness), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +145,15 @@ _ODD_PRIME = ("odd primes", lambda v: v > 2 and is_prime(v))
 class Claim:
     """One checkable statement: its range flags, a per-tuple checker and a domain filter.
 
-    Each param is (flag name, default range spec, rule or None).  Tuples are
-    the product of the ranges in param order; ``keep``, called with the
-    tuple's values by flag name, drops those outside the claim's domain.
+    Each param is (flag name, default range spec, rule or None).  A tuple is
+    a dict of one value per flag, in param order.  Called with a tuple as
+    keywords, ``keep`` drops those outside the claim's domain and ``run_one``
+    returns the record fields (holds, modulus, lhs, rhs[, witness[, detail]]).
     """
 
     summary: str
     params: tuple[tuple[str, str, _Rule | None], ...]
-    run_one: Callable[[tuple], dict]
+    run_one: Callable[..., tuple]
     keep: Callable[..., bool] | None = None
 
     def validate(self, ranges: dict[str, list[int]]) -> str | None:
@@ -169,112 +166,79 @@ class Claim:
                 return f"--{name}: values must be {description} (offending: {bad[:5]})"
         return None
 
-    def tuples(self, ranges: dict[str, list[int]]) -> list[tuple]:
+    def tuples(self, ranges: dict[str, list[int]]) -> list[dict[str, int]]:
         names = [name for name, _, _ in self.params]
-        combos = product(*(ranges[name] for name in names))
-        if self.keep is None:
-            return list(combos)
-        return [t for t in combos if self.keep(**dict(zip(names, t)))]
+        combos = (dict(zip(names, t)) for t in product(*(ranges[name] for name in names)))
+        return [t for t in combos if self.keep is None or self.keep(**t)]
 
 
-def _run_euler_mod_odd(t: tuple) -> dict:
-    k, q = t
-    report = congruences.check_euler_mod_odd(k, q)
-    return _record_from_report("1.1", {"k": k, "q": q}, report)
+def _run_euler_mod_odd(k: int, q: int) -> tuple:
+    return _report_fields(congruences.check_euler_mod_odd(k, q))
 
 
-def _run_euler_mod_two_power(t: tuple) -> dict:
-    k, n, m = t
+def _run_euler_mod_two_power(k: int, n: int, m: int) -> tuple:
     report = congruences.check_euler_mod_two_power(k, n, m)
     detail = {"coefficient_v2": congruences.cleared_coefficient_valuation(k, m)}
-    return _record_from_report("1.3", {"k": k, "n": n, "m": m}, report, detail=detail)
+    return _report_fields(report, detail=detail)
 
 
-def _run_euler_bernoulli_relation(t: tuple) -> dict:
-    (n,) = t
-    holds = special.check_euler_bernoulli_relation(n)
-    return _check_record(
-        "2.1", {"n": n}, holds, 0,
+def _run_euler_bernoulli_relation(n: int) -> tuple:
+    return (
+        special.check_euler_bernoulli_relation(n), 0,
         "(n+1)/2 * E_n(x)",
         "B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2) and 2^{n+1} B_{n+1}((x+1)/2) - B_{n+1}(x)",
     )
 
 
-def _run_bernoulli_poly_congruence(t: tuple) -> dict:
-    a, k, m, q = t
-    holds = congruences.check_bernoulli_poly_congruence(a, k, m, q)
-    route = congruences.bernoulli_poly_congruence_route(k, q)
-    return _check_record(
-        "2.2", {"a": a, "k": k, "m": m, "q": q}, holds, q,
+def _run_bernoulli_poly_congruence(a: int, k: int, m: int, q: int) -> tuple:
+    return (
+        congruences.check_bernoulli_poly_congruence(a, k, m, q), q,
         "1/k (m^k B_k((x+a)/m) - B_k(x))",
         "sum_j (floor((a+jm)/q) + (1-m)/2)(x+a+jm)^(k-1)",
-        detail={"route": route},
+        None, {"route": congruences.bernoulli_poly_congruence_route(k, q)},
     )
 
 
-def _run_euler_poly_congruence(t: tuple) -> dict:
-    a, k, m, q = t
-    holds = congruences.check_euler_poly_congruence(a, k, m, q)
-    return _check_record(
-        "2.3", {"a": a, "k": k, "m": m, "q": q}, holds, q,
+def _run_euler_poly_congruence(a: int, k: int, m: int, q: int) -> tuple:
+    return (
+        congruences.check_euler_poly_congruence(a, k, m, q), q,
         "m^{k+1}/2 E_k((x+a)/m) - (-1)^a/2 E_k(x)",
         "sum_j (-1)^{j-1}(floor((a+jm)/q) + (1-m)/2)(x+a+jm)^k",
     )
 
 
-def _run_signed_floor_sum(t: tuple) -> dict:
-    a, m, q = t
+def _run_signed_floor_sum(a: int, m: int, q: int) -> tuple:
     computed, closed = congruences.signed_floor_sum_identity(a, m, q)
-    return _check_record(
-        "2.4", {"a": a, "m": m, "q": q}, computed == closed, 0,
-        str(computed), str(closed),
-    )
+    return computed == closed, 0, str(computed), str(closed)
 
 
-def _run_kummer(t: tuple) -> dict:
-    p, n, k, l = t
+def _run_kummer(p: int, n: int, k: int, l: int) -> tuple:
     result = congruences.kummer_check(p, n, k, l)
-    implied = (not result.exponent_congruent) or result.report.holds
-    return _record_from_report(
-        "kummer", {"p": p, "n": n, "k": k, "l": l}, result.report, holds=implied,
-        detail={
-            "congruence_holds": result.report.holds,
-            "exponent_congruent": result.exponent_congruent,
-        },
-    )
+    report, congruent = result.report, result.exponent_congruent
+    return _report_fields(report, holds=not congruent or report.holds,
+                          detail={"congruence_holds": report.holds,
+                                  "exponent_congruent": congruent})
 
 
-def _run_thangadurai(t: tuple) -> dict:
-    p, k = t
+def _run_thangadurai(p: int, k: int) -> tuple:
     n, w = congruences.adams_thangadurai_valuation(p, k)
-    holds = w >= n and (n == 0 or w <= n + 1)
-    return _check_record(
-        "thangadurai", {"p": p, "k": k}, holds, p, str(w), str(n),
-        detail={"lower_bound": w >= n, "conjectured_ceiling": n == 0 or w <= n + 1},
-    )
+    lower, ceiling = w >= n, n == 0 or w <= n + 1
+    return (lower and ceiling, p, str(w), str(n), None,
+            {"lower_bound": lower, "conjectured_ceiling": ceiling})
 
 
-def _run_raabe(t: tuple) -> dict:
-    n, m = t
-    holds = special.check_raabe(n, m)
-    return _check_record(
-        "raabe", {"n": n, "m": m}, holds, 0,
-        "m^{n-1} sum_r B_n((x+r)/m)", "B_n(x)",
-    )
+def _run_raabe(n: int, m: int) -> tuple:
+    return special.check_raabe(n, m), 0, "m^{n-1} sum_r B_n((x+r)/m)", "B_n(x)"
 
 
-def _run_reflection(t: tuple) -> dict:
-    (n,) = t
-    holds = special.check_reflection(n)
-    return _check_record("reflection", {"n": n}, holds, 0, "E_n(x) + E_n(x+1)", "2 x^n")
+def _run_reflection(n: int) -> tuple:
+    return special.check_reflection(n), 0, "E_n(x) + E_n(x+1)", "2 x^n"
 
 
-def _run_power_sum(t: tuple) -> dict:
-    k, n = t
+def _run_power_sum(k: int, n: int) -> tuple:
     modulus = 1 << (n + 1)
     residue = congruences.alternating_power_sum(1 << n, k, modulus=modulus)
-    return _check_record("power-sum", {"k": k, "n": n}, residue == 0, modulus,
-                         str(residue), "0")
+    return residue == 0, modulus, str(residue), "0"
 
 
 def _coprime(m: int, q: int, **_) -> bool:
@@ -488,12 +452,13 @@ def _emit_value_records(command: str, rows: list[tuple[dict, object]], fmt: str,
         for parameters, value in rows:
             writer.writerow([parameters[k] for k in keys] + [str(value)])
         return
+    # stern-table prints each row's parameters, even for one row; the one-value
+    # commands print the bare value
     for parameters, value in rows:
-        if len(rows) == 1:
-            out.write(f"{value}\n")
+        if command == "stern-table":
+            out.write(" ".join(map(str, parameters.values())) + f" {value}\n")
         else:
-            head = " ".join(str(parameters[k]) for k in parameters)
-            out.write(f"{head} {value}\n")
+            out.write(f"{value}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +491,9 @@ def _cmd_check(args, parser: argparse.ArgumentParser, out) -> int:
     records = []
     for t in tuples:
         try:
-            records.append(claim.run_one(t))
+            records.append(_check_record(args.claim, t, *claim.run_one(**t)))
         except InternalInconsistencyError as exc:
-            names = ", ".join(f"{name}={v}" for (name, _, _), v in zip(claim.params, t))
+            names = ", ".join(f"{name}={v}" for name, v in t.items())
             raise InternalInconsistencyError(f"claim {args.claim} ({names}): {exc}") from exc
     # every record is built before the first is written, so exit 3 prints no record
     held = _emit_check_records(records, args.format, out)
@@ -725,7 +690,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if cache_path and os.path.exists(cache_path):
         try:
             special.load_tables(cache_path)
-        except special.CacheError as exc:
+        except (special.CacheError, OSError) as exc:
             print(f"cache load refused: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
@@ -738,7 +703,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERNAL
 
     if cache_path:
-        special.save_tables(cache_path)
+        try:
+            special.save_tables(cache_path)
+        except OSError as exc:
+            print(f"cache save failed: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return status
 
 

@@ -382,38 +382,41 @@ def _max_digits(n: int) -> int:
 
 def _parse_cache(path) -> dict[str, list[Fraction]]:
     records: dict[str, dict[int, Fraction]] = {"E": {}, "B": {}}
-    with _unlimited_int_str(), open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[0] not in ("E", "B"):
-                shown = line if len(line) <= 80 else line[:80] + "..."
-                raise CacheError(f"{path}:{lineno}: malformed record {shown!r}")
-            kind, index_s, value_s = parts
-            if len(index_s) > _MAX_INDEX_DIGITS:
-                raise CacheError(f"{path}:{lineno}: index has more than "
-                                 f"{_MAX_INDEX_DIGITS} digits")
-            try:
-                index = int(index_s)
-            except ValueError as exc:
-                raise CacheError(f"{path}:{lineno}: {exc}") from None
-            if index < 0:
-                raise CacheError(f"{path}:{lineno}: negative index {index}")
-            num, _, den = value_s.partition("/")
-            # refused before int() runs: converting a huge digit string is quadratic
-            limit = _max_digits(index)
-            if len(num.lstrip("+-")) > limit or len(den) > limit:
-                raise CacheError(f"{path}:{lineno}: {kind} {index} has more digits than "
-                                 f"any genuine value (at most {limit})")
-            try:
-                value = Fraction(int(num), int(den) if den else 1)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise CacheError(f"{path}:{lineno}: {exc}") from None
-            if index in records[kind]:
-                raise CacheError(f"{path}:{lineno}: duplicate {kind} {index}")
-            records[kind][index] = value
+    try:
+        with _unlimited_int_str(), open(path, "r", encoding="ascii") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if len(parts) != 3 or parts[0] not in ("E", "B"):
+                    shown = line if len(line) <= 80 else line[:80] + "..."
+                    raise CacheError(f"{path}:{lineno}: malformed record {shown!r}")
+                kind, index_s, value_s = parts
+                if len(index_s) > _MAX_INDEX_DIGITS:
+                    raise CacheError(f"{path}:{lineno}: index has more than "
+                                     f"{_MAX_INDEX_DIGITS} digits")
+                try:
+                    index = int(index_s)
+                except ValueError as exc:
+                    raise CacheError(f"{path}:{lineno}: {exc}") from None
+                if index < 0:
+                    raise CacheError(f"{path}:{lineno}: negative index {index}")
+                num, _, den = value_s.partition("/")
+                # refused before int() runs: converting a huge digit string is quadratic
+                limit = _max_digits(index)
+                if len(num.lstrip("+-")) > limit or len(den) > limit:
+                    raise CacheError(f"{path}:{lineno}: {kind} {index} has more digits than "
+                                     f"any genuine value (at most {limit})")
+                try:
+                    value = Fraction(int(num), int(den) if den else 1)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise CacheError(f"{path}:{lineno}: {exc}") from None
+                if index in records[kind]:
+                    raise CacheError(f"{path}:{lineno}: duplicate {kind} {index}")
+                records[kind][index] = value
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"{path}: byte {exc.object[exc.start]:#04x} is not ASCII") from None
 
     for kind, found in records.items():
         if found and sorted(found) != list(range(len(found))):

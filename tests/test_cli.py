@@ -34,6 +34,56 @@ _OUT_OF_RULE = {
 }
 
 
+# one single-tuple box per claim and its whole JSON record, field order included
+_PINNED_RECORDS = {
+    "1.1": ("--k 10 --q 15",
+            '{"claim": "1.1", "parameters": {"k": 10, "q": 15}, "holds": true, "modulus": 15, '
+            '"lhs": "-50521", "rhs": "280860314945729", "witness": "-18724020999750", '
+            '"detail": {}}'),
+    "1.3": ("--k 6 --n 4 --m 3",
+            '{"claim": "1.3", "parameters": {"k": 6, "n": 4, "m": 3}, "holds": true, '
+            '"modulus": 64, "lhs": "-133468", "rhs": "1623438959652", '
+            '"witness": "-25366235830", "detail": {"coefficient_v2": 0}}'),
+    "2.1": ("--n 5",
+            '{"claim": "2.1", "parameters": {"n": 5}, "holds": true, "modulus": 0, '
+            '"lhs": "(n+1)/2 * E_n(x)", "rhs": "B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2) and '
+            '2^{n+1} B_{n+1}((x+1)/2) - B_{n+1}(x)", "witness": null, "detail": {}}'),
+    "2.2": ("--a 1 --k 3 --m 5 --q 6",
+            '{"claim": "2.2", "parameters": {"a": 1, "k": 3, "m": 5, "q": 6}, "holds": true, '
+            '"modulus": 6, "lhs": "1/k (m^k B_k((x+a)/m) - B_k(x))", '
+            '"rhs": "sum_j (floor((a+jm)/q) + (1-m)/2)(x+a+jm)^(k-1)", "witness": null, '
+            '"detail": {"route": "cleared"}}'),
+    "2.3": ("--a -2 --k 4 --m 5 --q 6",
+            '{"claim": "2.3", "parameters": {"a": -2, "k": 4, "m": 5, "q": 6}, "holds": true, '
+            '"modulus": 6, "lhs": "m^{k+1}/2 E_k((x+a)/m) - (-1)^a/2 E_k(x)", '
+            '"rhs": "sum_j (-1)^{j-1}(floor((a+jm)/q) + (1-m)/2)(x+a+jm)^k", '
+            '"witness": null, "detail": {}}'),
+    "2.4": ("--a 3 --m 5 --q 8",
+            '{"claim": "2.4", "parameters": {"a": 3, "m": 5, "q": 8}, "holds": true, '
+            '"modulus": 0, "lhs": "3", "rhs": "3", "witness": null, "detail": {}}'),
+    "kummer": ("--n 1",
+               '{"claim": "kummer", "parameters": {"p": 13, "n": 1, "k": 16, "l": 4}, '
+               '"holds": true, "modulus": 13, "lhs": "-3617/8160", "rhs": "-1/120", '
+               '"witness": "-91/2720", '
+               '"detail": {"congruence_holds": true, "exponent_congruent": true}}'),
+    "thangadurai": ("--k 26",
+                    '{"claim": "thangadurai", "parameters": {"p": 13, "k": 26}, "holds": true, '
+                    '"modulus": 13, "lhs": "1", "rhs": "1", "witness": null, '
+                    '"detail": {"lower_bound": true, "conjectured_ceiling": true}}'),
+    "raabe": ("--n 4 --m 3",
+              '{"claim": "raabe", "parameters": {"n": 4, "m": 3}, "holds": true, "modulus": 0, '
+              '"lhs": "m^{n-1} sum_r B_n((x+r)/m)", "rhs": "B_n(x)", "witness": null, '
+              '"detail": {}}'),
+    "reflection": ("--n 6",
+                   '{"claim": "reflection", "parameters": {"n": 6}, "holds": true, '
+                   '"modulus": 0, "lhs": "E_n(x) + E_n(x+1)", "rhs": "2 x^n", '
+                   '"witness": null, "detail": {}}'),
+    "power-sum": ("--k 6 --n 3",
+                  '{"claim": "power-sum", "parameters": {"k": 6, "n": 3}, "holds": true, '
+                  '"modulus": 16, "lhs": "0", "rhs": "0", "witness": null, "detail": {}}'),
+}
+
+
 class TestParseRange:
     @pytest.mark.parametrize("spec,expected", [
         ("5", [5]),
@@ -156,6 +206,13 @@ class TestCheckCommand:
             assert code == 0
             for record in json_records(out):
                 assert REQUIRED_FIELDS <= set(record)
+
+    @pytest.mark.parametrize("claim", list(cli.CLAIMS))
+    def test_exact_record_pinned(self, claim, capsys):
+        argv, expected = _PINNED_RECORDS[claim]
+        code, out, _ = run_cli(["check", claim, *argv.split(), "--format", "json"], capsys)
+        assert code == 0
+        assert out == expected + "\n"
 
     def test_defaults_applied(self, capsys):
         code, out, _ = run_cli(["check", "kummer", "--format", "json"], capsys)
@@ -297,7 +354,7 @@ class TestCheckCommand:
                                             monkeypatch):
         check = cli.CLAIMS[claim].run_one
         getattr(special, source)(k)  # the polynomial itself is built by affine once, cached
-        check((0, k, 5, 2))  # evict (1, k, 5) from the one-entry memo
+        check(a=0, k=k, m=5, q=2)  # evict (1, k, 5) from the one-entry memo
         calls = []
         affine = UnivariatePolynomial.affine
         monkeypatch.setattr(UnivariatePolynomial, "affine",
@@ -339,6 +396,11 @@ class TestSweepAndTable:
         for r in records:
             k = r["parameters"]["k"]
             assert int(r["value"]) == special.euler_number(k) % 16
+
+    @pytest.mark.parametrize("n,expected", [(1, "0 1 1\n"), (2, "0 2 1\n2 2 3\n")])
+    def test_stern_table_plain_rows(self, n, expected, capsys):
+        code, out, _ = run_cli(["stern-table", "--n", str(n)], capsys)
+        assert code == 0 and out == expected
 
     def test_stern_table_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -458,6 +520,21 @@ class TestCache:
         code, _, err = run_cli(["euler", "30", "--cache", str(path)], capsys)
         assert code == cli.EXIT_USAGE
         assert "cache load refused" in err
+
+    @pytest.mark.parametrize("case", ["non-ascii", "directory", "missing-parent"])
+    def test_cache_io_error_exits_two(self, case, tmp_path, capsys):
+        path = tmp_path / "tables.cache"
+        message = "cache load refused: "
+        if case == "non-ascii":
+            path.write_bytes(b"E 0 1\nE 1 0\n\xc3\xa9\n")
+        elif case == "directory":
+            path.mkdir()
+        else:
+            path = tmp_path / "missing" / "tables.cache"
+            message = "cache save failed: "
+        code, _, err = run_cli(["euler", "6", "--cache", str(path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith(message) and err.count("\n") == 1 and path.name in err
 
     def test_resume_past_cached_top(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "tables.cache"
