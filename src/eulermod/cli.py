@@ -50,7 +50,6 @@ __all__ = [
     "main",
     "bench_report",
     "BenchReport",
-    "cache_roundtrip",
     "parse_range",
     "EXIT_OK",
     "EXIT_CHECK_FAILED",
@@ -380,21 +379,6 @@ def bench_report(k: int, n: int, cutoff: int = 5000) -> BenchReport:
 
 
 # ---------------------------------------------------------------------------
-# cache plumbing
-# ---------------------------------------------------------------------------
-
-
-def cache_roundtrip(path) -> bool:
-    """Persist the memoized tables, reload into fresh ones, compare everything."""
-    special.save_tables(path)
-    fresh_euler = special.EulerNumberTable()
-    fresh_bernoulli = special.BernoulliNumberTable()
-    special.load_tables(path, euler=fresh_euler, bernoulli=fresh_bernoulli)
-    return (fresh_euler.snapshot() == special.euler_table().snapshot()
-            and fresh_bernoulli.snapshot() == special.bernoulli_table().snapshot())
-
-
-# ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
 
@@ -436,29 +420,24 @@ def _emit_check_records(records: Iterable[dict], fmt: str, out) -> bool:
     return failed == 0
 
 
-def _emit_value_records(command: str, rows: list[tuple[dict, object]], fmt: str, out) -> None:
-    # every row carries the same int parameters in the same order
-    keys = list(rows[0][0]) if rows else []
+def _emit_value_records(command: str, keys: Sequence[str], rows: Iterable[tuple],
+                        fmt: str, out) -> None:
+    """Write each (*parameters, value) row, parameters named by keys, as it arrives."""
     if fmt == "json":
         # the bytes of json.dumps({"command", "parameters", "value": str(value)}),
         # from one template: an int or Fraction value needs no escaping
         template = (f'{{"command": {json.dumps(command)}, "parameters": {{'
                     + ", ".join(f"{json.dumps(k)}: %d" for k in keys) + '}, "value": "%s"}\n')
-        out.writelines(template % (*parameters.values(), value) for parameters, value in rows)
-        return
-    if fmt == "csv":
+        out.writelines(template % row for row in rows)
+    elif fmt == "csv":
         writer = csv.writer(out)
-        writer.writerow(keys + ["value"])
-        for parameters, value in rows:
-            writer.writerow([parameters[k] for k in keys] + [str(value)])
-        return
-    # stern-table prints each row's parameters, even for one row; the one-value
-    # commands print the bare value
-    for parameters, value in rows:
-        if command == "stern-table":
-            out.write(" ".join(map(str, parameters.values())) + f" {value}\n")
-        else:
-            out.write(f"{value}\n")
+        writer.writerow([*keys, "value"])
+        writer.writerows(rows)
+    elif command == "stern-table":
+        # stern-table prints each row's parameters, even for one row
+        out.writelines(" ".join(map(str, row)) + "\n" for row in rows)
+    else:
+        out.writelines(f"{row[-1]}\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +501,8 @@ def _cmd_stern_table(args, parser: argparse.ArgumentParser, out) -> int:
     n = args.n
     if not 1 <= n <= TABLE_N_MAX:
         parser.error(f"--n must be between 1 and {TABLE_N_MAX}")
-    rows = [({"k": k, "n": n}, value) for k, value in congruences.stern_table(n).items()]
-    _emit_value_records("stern-table", rows, args.format, out)
+    rows = ((k, n, value) for k, value in congruences.stern_table(n).items())
+    _emit_value_records("stern-table", ("k", "n"), rows, args.format, out)
     return EXIT_OK
 
 
@@ -570,11 +549,10 @@ def _cmd_euler(args, parser: argparse.ArgumentParser, out) -> int:
     if args.mod is not None and args.mod < 2:
         parser.error("--mod must be >= 2")
     value = special.euler_number(args.k)
-    parameters: dict = {"k": args.k}
+    keys, row = ("k",), (args.k, value)
     if args.mod is not None:
-        parameters["mod"] = args.mod
-        value %= args.mod
-    _emit_value_records("euler", [(parameters, value)], args.format, out)
+        keys, row = ("k", "mod"), (args.k, args.mod, value % args.mod)
+    _emit_value_records("euler", keys, [row], args.format, out)
     return EXIT_OK
 
 
@@ -582,7 +560,7 @@ def _cmd_bernoulli(args, parser: argparse.ArgumentParser, out) -> int:
     if args.k < 0:
         parser.error("k must be >= 0")
     value = special.bernoulli_number(args.k)
-    _emit_value_records("bernoulli", [({"k": args.k}, value)], args.format, out)
+    _emit_value_records("bernoulli", ("k",), [(args.k, value)], args.format, out)
     return EXIT_OK
 
 
@@ -592,8 +570,7 @@ def _cmd_euler_mod2(args, parser: argparse.ArgumentParser, out) -> int:
     if not 1 <= args.n <= FAST_N_MAX:
         parser.error(f"n must be between 1 and {FAST_N_MAX}")
     value = congruences.euler_mod_2n(args.k, args.n)
-    _emit_value_records("euler-mod2", [({"k": args.k, "n": args.n}, value)],
-                        args.format, out)
+    _emit_value_records("euler-mod2", ("k", "n"), [(args.k, args.n, value)], args.format, out)
     return EXIT_OK
 
 

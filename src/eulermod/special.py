@@ -358,12 +358,10 @@ def save_tables(path, euler: EulerNumberTable | None = None,
     """Persist every memoized index of both tables to the cache file at path."""
     euler = euler if euler is not None else _EULER
     bernoulli = bernoulli if bernoulli is not None else _BERNOULLI
-    with _unlimited_int_str():
-        lines = [f"{table._KIND} {n} {value}\n"
-                 for table in (euler, bernoulli) for n, value in enumerate(table.snapshot())]
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.writelines(lines)
+    with _unlimited_int_str(), open(tmp, "w", encoding="ascii") as fh:
+        fh.writelines(f"{table._KIND} {n} {value}\n"
+                      for table in (euler, bernoulli) for n, value in enumerate(table.snapshot()))
     os.replace(tmp, path)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from eulermod import cli, special
+from eulermod import cli, congruences, special
 from eulermod.exactmath import InternalInconsistencyError, UnivariatePolynomial
 
 REQUIRED_FIELDS = {"claim", "parameters", "holds", "modulus", "lhs", "rhs"}
@@ -171,6 +171,20 @@ class TestValueCommands:
         # E_600 has about 1400 digits, beyond the limit the test set
         assert code == 0 and len(out.strip().lstrip("-")) > 640
         assert int(out) == special.euler_number(600)
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["bernoulli", "12"], "-691/2730\n"),
+        (["bernoulli", "12", "--format", "csv"], "k,value\r\n12,-691/2730\r\n"),
+        (["euler", "10", "--mod", "7"], "5\n"),
+        (["euler", "10", "--mod", "7", "--format", "csv"], "k,mod,value\r\n10,7,5\r\n"),
+        (["euler-mod2", "10", "8"], "167\n"),
+        (["euler-mod2", "10", "8", "--format", "csv"], "k,n,value\r\n10,8,167\r\n"),
+        (["stern-table", "--n", "2"], "0 2 1\n2 2 3\n"),
+        (["stern-table", "--n", "2", "--format", "csv"], "k,n,value\r\n0,2,1\r\n2,2,3\r\n"),
+    ])
+    def test_value_output_pinned(self, argv, expected, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out == expected
 
     @pytest.mark.parametrize("argv", [
         ["euler", "-4"],
@@ -437,6 +451,42 @@ class TestSweepAndTable:
         assert len(lines) == count + (fmt != "json")  # plain's summary, csv's header
         assert early == "".join(lines[:count - 1 + (fmt == "csv")])
 
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_stern_table_streams_rows(self, capsys, monkeypatch, fmt):
+        # every earlier row is on stdout before the last one is read from the table
+        table = congruences.stern_table(4)
+        before_last = []
+
+        class Table(dict):
+            def items(self):
+                *head, last = super().items()
+                yield from head
+                before_last.append(capsys.readouterr().out)
+                yield last
+
+        monkeypatch.setattr(congruences, "stern_table", lambda n: Table(table))
+        code, rest, _ = run_cli(["stern-table", "--n", "4", "--format", fmt], capsys)
+        assert code == cli.EXIT_OK
+        (early,) = before_last
+        count = len(table)
+        lines = (early + rest).splitlines(keepends=True)
+        assert len(lines) == count + (fmt == "csv")  # csv's header
+        assert early == "".join(lines[:count - 1 + (fmt == "csv")])
+
+    def test_stern_table_inconsistency_prints_no_row(self, capsys, monkeypatch):
+        # the whole table is built before the first row is written
+        cleared_residue = congruences._cleared_residue
+
+        def residue(k, n, three, half_s):
+            if k == 14:
+                raise InternalInconsistencyError("injected on the last row")
+            return cleared_residue(k, n, three, half_s)
+
+        monkeypatch.setattr(congruences, "_cleared_residue", residue)
+        code, out, err = run_cli(["stern-table", "--n", "4"], capsys)
+        assert code == cli.EXIT_INTERNAL
+        assert out == "" and "injected on the last row" in err
+
 
 @pytest.mark.parametrize("argv,cap", [
     (["euler-mod2", "2", str(cli.FAST_N_MAX + 1)], cli.FAST_N_MAX),
@@ -558,8 +608,3 @@ class TestCache:
         code, out, err = run_cli(["euler", "10", "--cache", str(path)], capsys)
         assert code == cli.EXIT_INTERNAL
         assert "E 6 differs" in err and out == ""
-
-    def test_cache_roundtrip_function(self, tmp_path):
-        special.euler_table().extend_to(24)
-        special.bernoulli_table().extend_to(24)
-        assert cli.cache_roundtrip(tmp_path / "roundtrip.cache") is True

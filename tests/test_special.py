@@ -325,6 +325,12 @@ class TestCacheFile:
         assert e2.snapshot() == e.snapshot()
         assert b2.snapshot() == b.snapshot()
 
+    def test_file_bytes_pinned(self, tmp_path):
+        path = tmp_path / "tables.cache"
+        save_tables(path, *self._fresh_pair(4, 4))
+        assert path.read_bytes() == (b"E 0 1\nE 1 0\nE 2 -1\nE 3 0\nE 4 5\n"
+                                     b"B 0 1\nB 1 -1/2\nB 2 1/6\nB 3 0\nB 4 -1/30\n")
+
     def test_empty_file_is_empty_cache(self, tmp_path):
         path = tmp_path / "empty.cache"
         path.write_text("")
