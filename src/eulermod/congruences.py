@@ -2,8 +2,9 @@
 
 A rational a/b (lowest terms) is a q-integer when gcd(b, q) = 1; two
 q-integers are congruent mod q when their difference is q times another
-q-integer.  That relation is the trust root here, so ``congruent_mod``
-decides it by two independent routes that must agree.
+q-integer.  That relation is the trust root here, so one private kernel,
+``_decide``, settles it on plain-integer numerators by two independent
+routes that must agree; ``congruent_mod`` and ``poly_congruent_mod`` share it.
 
 On top of it sit the checkers: Euler numbers modulo odd integers via
 alternating power sums, the denominator-cleared congruence that pins E_k
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import repeat, zip_longest
 from math import comb, gcd
 
 from . import special
@@ -107,28 +108,37 @@ def is_q_integer(x: RationalLike, ctx: QAdicContext) -> bool:
     return gcd(x.denominator, ctx.q) == 1
 
 
-def congruent_mod(x: RationalLike, y: RationalLike, ctx: QAdicContext) -> CongruenceReport:
-    """Decide x = y (mod q) over the q-integers, by two routes that must agree.
+def _decide(x: Fraction, y: Fraction, q: int) -> tuple[bool, int, int]:
+    """Decide x = y (mod q) for two q-integers, by two routes that must agree.
 
-    Route one forms the quotient witness (x - y)/q and asks whether it is a
-    q-integer.  Route two reduces x - y to a/b and tests a * b**-1 = 0 mod q.
-    Disagreement would mean the congruence layer itself is broken, so it
-    raises instead of returning.
+    With x = a/b and y = c/d, x - y = num/den for num = a*d - c*b and
+    den = b*d, both plain ints and den prime to q.  Route one asks whether
+    the witness num/(den*q) is a q-integer once reduced; route two tests
+    num * den**-1 = 0 mod q.  Disagreement would mean the congruence layer
+    itself is broken, so it raises instead of returning.
     """
+    a, b = x.numerator, x.denominator
+    c, d = y.numerator, y.denominator
+    num = a * d - c * b
+    den = b * d
+    scaled = den * q
+    holds = gcd(scaled // gcd(num, scaled), q) == 1
+    if holds != (num * mod_inverse(den, q) % q == 0):
+        raise InternalInconsistencyError(
+            f"congruence routes disagree for {x} = {y} (mod {q})"
+        )
+    return holds, num, den
+
+
+def congruent_mod(x: RationalLike, y: RationalLike, ctx: QAdicContext) -> CongruenceReport:
+    """Decide x = y (mod q) over the q-integers, with the quotient witness (x - y)/q."""
     x, y = (v if type(v) is Fraction else Fraction(v) for v in (x, y))
     for value in (x, y):
         if not is_q_integer(value, ctx):
             raise ValueError(f"{value} is not a {ctx.q}-integer")
-    diff = x - y
-    witness = diff / ctx.q
-    holds = is_q_integer(witness, ctx)
-
-    residue = diff.numerator * mod_inverse(diff.denominator, ctx.q) % ctx.q
-    if holds != (residue == 0):
-        raise InternalInconsistencyError(
-            f"congruence routes disagree for {x} = {y} (mod {ctx.q})"
-        )
-    return CongruenceReport(lhs=x, rhs=y, modulus=ctx.q, holds=holds, quotient_witness=witness)
+    holds, num, den = _decide(x, y, ctx.q)
+    return CongruenceReport(lhs=x, rhs=y, modulus=ctx.q, holds=holds,
+                            quotient_witness=Fraction(num, den * ctx.q))
 
 
 def poly_congruent_mod(P: UnivariatePolynomial, Q: UnivariatePolynomial,
@@ -137,14 +147,14 @@ def poly_congruent_mod(P: UnivariatePolynomial, Q: UnivariatePolynomial,
 
     Every pair is decided, so any coefficient outside the q-integers raises.
     """
+    q = ctx.q
     holds = True
-    for i in range(max(P.degree, Q.degree) + 1):
-        cp, cq = P.coefficient(i), Q.coefficient(i)
-        try:
-            holds &= congruent_mod(cp, cq, ctx).holds
-        except ValueError:
-            c = cq if is_q_integer(cp, ctx) else cp
-            raise ValueError(f"coefficient {i} = {c} fell outside the {ctx.q}-integers") from None
+    pairs = zip_longest(P.coefficients, Q.coefficients, fillvalue=Fraction(0))
+    for i, (cp, cq) in enumerate(pairs):
+        for c in (cp, cq):
+            if gcd(c.denominator, q) != 1:
+                raise ValueError(f"coefficient {i} = {c} fell outside the {q}-integers")
+        holds &= _decide(cp, cq, q)[0]
     return holds
 
 

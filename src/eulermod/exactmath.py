@@ -120,13 +120,15 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def mod_inverse(x: int, modulus: int) -> int:
-    """Inverse of x modulo modulus via extended gcd; requires gcd(x, modulus) = 1."""
+    """Inverse of x modulo modulus by the built-in ``pow``; requires gcd(x, modulus) = 1."""
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    g, s, _ = extended_gcd(x % modulus, modulus)
-    if g != 1:
-        raise NotInvertibleError(f"{x} is not invertible mod {modulus} (gcd = {g})")
-    return s % modulus
+    try:
+        return pow(x, -1, modulus)
+    except ValueError:
+        raise NotInvertibleError(
+            f"{x} is not invertible mod {modulus} (gcd = {gcd(x, modulus)})"
+        ) from None
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -225,7 +227,7 @@ class UnivariatePolynomial:
     coefficients and reports degree -1.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()) -> None:
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
@@ -258,7 +260,12 @@ class UnivariatePolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        # computed on first use: most polynomials are never hashed
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._coeffs)
+            return self._hash
 
     def __neg__(self) -> "UnivariatePolynomial":
         return UnivariatePolynomial(-c for c in self._coeffs)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -81,6 +82,15 @@ _PINNED_RECORDS = {
     "power-sum": ("--k 6 --n 3",
                   '{"claim": "power-sum", "parameters": {"k": 6, "n": 3}, "holds": true, '
                   '"modulus": 16, "lhs": "0", "rhs": "0", "witness": null, "detail": {}}'),
+}
+
+# sha256 of the whole `check <claim> --format json` stdout over the default envelope,
+# for the claims whose records carry the congruence decision's route, witness and verdict
+_ENVELOPE_SHA256 = {
+    "2.2": "7e255b83fa0e1be0cfd50e210f1ef88fd863211da8853a3129b3f49f613ebb9f",
+    "2.3": "82918cdead1ad5b70ff98aae91eddb686efcef92ec675004138722f0b4dd2c65",
+    "1.1": "fb4147c531636856b645fb6f7a37721e5c5f5f63cfa5e814c15d027d7316b9ab",
+    "kummer": "b49726ec15975fdbeaf186adeec2a2167bf8a21364ba3f26a2b01fcf8288dd89",
 }
 
 
@@ -227,6 +237,12 @@ class TestCheckCommand:
         code, out, _ = run_cli(["check", claim, *argv.split(), "--format", "json"], capsys)
         assert code == 0
         assert out == expected + "\n"
+
+    @pytest.mark.parametrize("claim", list(_ENVELOPE_SHA256))
+    def test_default_envelope_pinned(self, claim, capsys):
+        code, out, _ = run_cli(["check", claim, "--format", "json"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _ENVELOPE_SHA256[claim]
 
     def test_defaults_applied(self, capsys):
         code, out, _ = run_cli(["check", "kummer", "--format", "json"], capsys)

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, gcd
 
 import pytest
@@ -60,6 +61,31 @@ def q_integers(q: int):
     )
 
 
+def fraction_reference(x, y, q: int) -> tuple[bool, Fraction]:
+    """The decision by Fraction arithmetic alone: (holds, quotient witness)."""
+    witness = (Fraction(x) - Fraction(y)) / q
+    return gcd(witness.denominator, q) == 1, witness
+
+
+def prime_to(d: int, q: int) -> int:
+    """d with every prime factor it shares with q divided out."""
+    while (g := gcd(d, q)) > 1:
+        d //= g
+    return d
+
+
+# one power of two, one odd prime power and one modulus near 10**12
+LARGE_MODULI = (2**64, 3**40, 10**12 + 39)
+
+
+def wide_q_integers(q: int):
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-10**40, 10**40),
+                  st.integers(1, 10**40).map(lambda d: prime_to(d, q))),
+    )
+
+
 class TestCongruentMod:
     def test_reflexive(self):
         report = congruent_mod(Fraction(3, 7), Fraction(3, 7), QAdicContext(5))
@@ -107,6 +133,29 @@ class TestCongruentMod:
             if congruent_mod(y, z, ctx).holds:
                 assert congruent_mod(x, z, ctx).holds
 
+    @given(st.one_of(st.integers(2, 60), st.sampled_from(LARGE_MODULI)).flatmap(
+        lambda q: st.tuples(st.just(q), wide_q_integers(q), wide_q_integers(q),
+                            wide_q_integers(q))))
+    @settings(max_examples=200)
+    @example((2**64, Fraction(1, 3), Fraction(1, 3) + 2**64, Fraction(0)))
+    @example((3**40, Fraction(-10**40, 7), Fraction(5, 11), Fraction(2, 5)))
+    def test_matches_fraction_reference(self, data):
+        q, x, y, z = data
+        ctx = QAdicContext(q)
+        # (x, y) almost never holds for a large q; (x, x - q z) always does
+        for rhs in (y, x - q * z):
+            report = congruent_mod(x, rhs, ctx)
+            assert (report.holds, report.quotient_witness) == fraction_reference(x, rhs, q)
+
+    def test_route_disagreement_raises(self, monkeypatch):
+        # route two then finds every pair congruent; route one sees 1 - 2 = -1
+        monkeypatch.setattr(congruences, "mod_inverse", lambda x, modulus: 0)
+        ctx = QAdicContext(4)
+        with pytest.raises(InternalInconsistencyError, match=r"1 = 2 \(mod 4\)"):
+            congruent_mod(1, 2, ctx)
+        with pytest.raises(InternalInconsistencyError, match="congruence routes disagree"):
+            poly_congruent_mod(UnivariatePolynomial([0, 1]), UnivariatePolynomial([0, 2]), ctx)
+
 
 class TestPolyCongruentMod:
     def test_reflexive(self):
@@ -127,6 +176,21 @@ class TestPolyCongruentMod:
         q = UnivariatePolynomial([1, 5])
         assert poly_congruent_mod(p, q, QAdicContext(5))
         assert not poly_congruent_mod(p, q, QAdicContext(3))
+
+    @given(st.integers(2, 60).flatmap(lambda q: st.tuples(
+        st.just(q),
+        st.lists(q_integers(q), max_size=13),
+        st.lists(q_integers(q), max_size=13),
+        st.booleans())))
+    @settings(max_examples=150)
+    def test_matches_coefficientwise_reference(self, data):
+        q, ps, rs, shifted = data
+        P, R = UnivariatePolynomial(ps), UnivariatePolynomial(rs)
+        # P + q R is congruent to P; R itself seldom is, and the lengths differ freely
+        Q = P + R * q if shifted else R
+        pairs = zip_longest(P.coefficients, Q.coefficients, fillvalue=0)
+        expected = all(fraction_reference(cp, cq, q)[0] for cp, cq in pairs)
+        assert poly_congruent_mod(P, Q, QAdicContext(q)) == expected
 
     def test_bad_coefficient_names_index(self):
         p = UnivariatePolynomial([0, Fraction(1, 2)])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -116,8 +117,25 @@ class TestExtendedGcdInverse:
         assert mod_inverse(x, mod) == expected
 
     def test_common_factor_rejected(self):
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(NotInvertibleError, match=r"4 is not invertible mod 8 \(gcd = 4\)"):
             mod_inverse(4, 8)
+
+    def test_matches_extended_gcd_route(self):
+        # x ranges over negatives and values >= modulus, moduli up to 2**200
+        rng = random.Random(20)
+        inverted = 0
+        for bits in (4, 16, 64, 200):
+            for _ in range(150):
+                mod = rng.randrange(2, 1 << bits)
+                x = rng.randrange(-4 * mod, 4 * mod)
+                g, s, _ = extended_gcd(x % mod, mod)
+                if g != 1:
+                    with pytest.raises(NotInvertibleError, match=f"gcd = {g}"):
+                        mod_inverse(x, mod)
+                    continue
+                assert mod_inverse(x, mod) == s % mod
+                inverted += 1
+        assert inverted > 300
 
     @given(st.integers(2, 10**6), st.integers(-10**6, 10**6))
     def test_inverse_property(self, mod, x):
@@ -251,6 +269,14 @@ class TestPolynomial:
         assert UnivariatePolynomial().degree == -1
         assert UnivariatePolynomial([0, 0]).degree == -1
         assert not UnivariatePolynomial([0])
+
+    def test_hash_is_coefficient_hash(self):
+        p = UnivariatePolynomial([1, Fraction(2, 3), 5])
+        assert hash(p) == hash(p.coefficients)
+        assert hash(p) == hash(p.coefficients)  # the stored hash on a repeated call
+        twin = UnivariatePolynomial([Fraction(1), Fraction(4, 6), 5, 0])
+        assert twin == p and twin is not p
+        assert hash(twin) == hash(p)
 
     def test_coefficient_beyond_degree(self):
         p = UnivariatePolynomial([1, 2])
