@@ -45,6 +45,11 @@ TABLE_N_MAX = 20
 # kmax**2: 524800 records at 2048 take about 9 s in JSON, at 1024 about 2 s
 # (2-vCPU VM, Python 3.11.7).
 SWEEP_K_MAX = 2048
+# Largest n claims 1.3 and power-sum accept.  Each tuple sums 2**n unfolded
+# powers (stern_sum, alternating_power_sum), so its time doubles with each
+# step of n: one tuple at k = 40, n = 22 takes about 4.6 s under 1.3 and
+# 2.6 s under power-sum (2-vCPU VM, Python 3.11.7).
+CLAIM_N_MAX = 22
 
 __all__ = [
     "main",
@@ -59,6 +64,7 @@ __all__ = [
     "FAST_N_MAX",
     "TABLE_N_MAX",
     "SWEEP_K_MAX",
+    "CLAIM_N_MAX",
 ]
 
 
@@ -138,32 +144,57 @@ _ODD_POS = ("odd and >= 1", lambda v: v >= 1 and v % 2 == 1)
 _POS = (">= 1", lambda v: v >= 1)
 _EVEN_POS = ("even and >= 2", lambda v: v >= 2 and v % 2 == 0)
 _ODD_PRIME = ("odd primes", lambda v: v > 2 and is_prime(v))
+_MODULUS = (">= 2", lambda v: v >= 2)
+
+
+def _between(lo: int, hi: int) -> _Rule:
+    return (f"between {lo} and {hi}", lambda v: lo <= v <= hi)
+
+
+def _range_arg(text: str) -> list[int]:
+    # parse_range as an argparse type: its message becomes the diagnostic
+    try:
+        return parse_range(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _checked(rule: _Rule, parse: Callable[[str], int | list[int]] = int) -> Callable:
+    """An argparse type: parse the text, then refuse it unless every value obeys the rule.
+
+    A scalar is checked as a one-value list, so every refusal reads
+    ``argument NAME: values must be RULE (offending: [...])``.
+    """
+    description, ok = rule
+
+    def check(text: str):
+        value = parse(text)
+        bad = [v for v in (value if isinstance(value, list) else [value]) if not ok(v)]
+        if bad:
+            raise argparse.ArgumentTypeError(
+                f"values must be {description} (offending: {bad[:5]})")
+        return value
+
+    check.__name__ = parse.__name__  # argparse names it in "invalid int value: ..."
+    return check
 
 
 @dataclass(frozen=True)
 class Claim:
     """One checkable statement: its range flags, a per-tuple checker and a domain filter.
 
-    Each param is (flag name, default range spec, rule or None).  A tuple is
-    a dict of one value per flag, in param order.  Called with a tuple as
-    keywords, ``keep`` drops those outside the claim's domain and ``run_one``
-    returns the record fields (holds, modulus, lhs, rhs[, witness[, detail]]).
+    Each param is (flag name, default range spec, rule or None); ``check``
+    gives each claim a sub-parser that parses and checks every flag.  A
+    tuple is a dict of one value per flag, in param order.  Called with a
+    tuple as keywords, ``keep`` drops those outside the claim's domain and
+    ``run_one`` returns the record fields (holds, modulus, lhs, rhs[,
+    witness[, detail]]).
     """
 
     summary: str
     params: tuple[tuple[str, str, _Rule | None], ...]
     run_one: Callable[..., tuple]
     keep: Callable[..., bool] | None = None
-
-    def validate(self, ranges: dict[str, list[int]]) -> str | None:
-        for name, _, rule in self.params:
-            if rule is None:
-                continue
-            description, ok = rule
-            bad = [v for v in ranges[name] if not ok(v)]
-            if bad:
-                return f"--{name}: values must be {description} (offending: {bad[:5]})"
-        return None
 
     def tuples(self, ranges: dict[str, list[int]]) -> list[dict[str, int]]:
         names = [name for name, _, _ in self.params]
@@ -252,7 +283,7 @@ CLAIMS: dict[str, Claim] = {
     ),
     "1.3": Claim(
         summary="cleared congruence (m^{k+1}-(-1)^{(m-1)/2}) E_k = 2 m^k S mod 2^{n+2}",
-        params=(("k", "0..40even", _EVEN_NONNEG), ("n", "1..10", _POS),
+        params=(("k", "0..40even", _EVEN_NONNEG), ("n", "1..10", _between(1, CLAIM_N_MAX)),
                 ("m", "1..15odd", _ODD_POS)),
         run_one=_run_euler_mod_two_power,
     ),
@@ -307,7 +338,7 @@ CLAIMS: dict[str, Claim] = {
     ),
     "power-sum": Claim(
         summary="2^{n+1} divides the alternating power sum over a full 2^n block",
-        params=(("k", "0..40even", _EVEN_NONNEG), ("n", "1..14", _POS)),
+        params=(("k", "0..40even", _EVEN_NONNEG), ("n", "1..14", _between(1, CLAIM_N_MAX))),
         run_one=_run_power_sum,
     ),
 }
@@ -357,12 +388,9 @@ def bench_report(k: int, n: int, cutoff: int = 5000) -> BenchReport:
 
     The exact route uses a fresh table (the memoized singleton would fake
     its timing) and is skipped for k beyond the feasibility cutoff, in which
-    case no equality claim is made.
+    case no equality claim is made.  ``euler_mod_2n`` refuses an odd or
+    negative k and an n below 1 with ``ValueError``.
     """
-    if k < 0 or k % 2:
-        raise ValueError(f"k must be even and >= 0, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     start = time.perf_counter()
     fast = congruences.euler_mod_2n(k, n)
     fast_seconds = time.perf_counter() - start
@@ -445,28 +473,12 @@ def _emit_value_records(command: str, keys: Sequence[str], rows: Iterable[tuple]
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check(args, parser: argparse.ArgumentParser, out) -> int:
+def _cmd_check(parser: argparse.ArgumentParser, args, out) -> int:
     claim = CLAIMS[args.claim]
-    ranges: dict[str, list[int]] = {}
-    provided = {name for name in _RANGE_FLAGS if getattr(args, name) is not None}
-    allowed = {name for name, _, _ in claim.params}
-    extra = provided - allowed
-    if extra:
-        parser.error(f"claim {args.claim} does not take --{sorted(extra)[0]} "
-                     f"(it takes {', '.join('--' + n for n in sorted(allowed))})")
-    for name, default, _ in claim.params:
-        spec = getattr(args, name) if name in provided else default
-        try:
-            ranges[name] = parse_range(spec)
-        except ValueError as exc:
-            parser.error(f"--{name}: {exc}")
-    message = claim.validate(ranges)
-    if message:
-        parser.error(f"claim {args.claim}: {message}")
-    tuples = claim.tuples(ranges)
+    tuples = claim.tuples({name: getattr(args, name) for name, _, _ in claim.params})
     if not tuples:
-        parser.error(f"claim {args.claim}: no parameter tuple in the given ranges lies in "
-                     "the claim's domain; nothing to check")
+        parser.error("no parameter tuple in the given ranges lies in the claim's domain; "
+                     "nothing to check")
     records = []
     for t in tuples:
         try:
@@ -488,29 +500,21 @@ def _stern_record(k: int, l: int) -> dict:
     )
 
 
-def _cmd_sweep(args, parser: argparse.ArgumentParser, out) -> int:
+def _cmd_sweep(args, out) -> int:
     kmax = args.kmax
-    if not 2 <= kmax <= SWEEP_K_MAX:
-        parser.error(f"--kmax must be between 2 and {SWEEP_K_MAX}")
     records = (_stern_record(k, l) for k in range(2, kmax + 1, 2) for l in range(0, k, 2))
     held = _emit_check_records(records, args.format, out)
     return EXIT_OK if held else EXIT_CHECK_FAILED
 
 
-def _cmd_stern_table(args, parser: argparse.ArgumentParser, out) -> int:
+def _cmd_stern_table(args, out) -> int:
     n = args.n
-    if not 1 <= n <= TABLE_N_MAX:
-        parser.error(f"--n must be between 1 and {TABLE_N_MAX}")
     rows = ((k, n, value) for k, value in congruences.stern_table(n).items())
     _emit_value_records("stern-table", ("k", "n"), rows, args.format, out)
     return EXIT_OK
 
 
-def _cmd_bench(args, parser: argparse.ArgumentParser, out) -> int:
-    if args.k < 0 or args.k % 2:
-        parser.error("--k must be even and >= 0")
-    if not 1 <= args.n <= FAST_N_MAX:
-        parser.error(f"--n must be between 1 and {FAST_N_MAX}")
+def _cmd_bench(args, out) -> int:
     report = bench_report(args.k, args.n, cutoff=args.cutoff)
     skipped = report.agree is None
     record = _check_record(
@@ -543,11 +547,7 @@ def _cmd_bench(args, parser: argparse.ArgumentParser, out) -> int:
     return EXIT_OK if record["holds"] else EXIT_CHECK_FAILED
 
 
-def _cmd_euler(args, parser: argparse.ArgumentParser, out) -> int:
-    if args.k < 0:
-        parser.error("k must be >= 0")
-    if args.mod is not None and args.mod < 2:
-        parser.error("--mod must be >= 2")
+def _cmd_euler(args, out) -> int:
     value = special.euler_number(args.k)
     keys, row = ("k",), (args.k, value)
     if args.mod is not None:
@@ -556,19 +556,13 @@ def _cmd_euler(args, parser: argparse.ArgumentParser, out) -> int:
     return EXIT_OK
 
 
-def _cmd_bernoulli(args, parser: argparse.ArgumentParser, out) -> int:
-    if args.k < 0:
-        parser.error("k must be >= 0")
+def _cmd_bernoulli(args, out) -> int:
     value = special.bernoulli_number(args.k)
     _emit_value_records("bernoulli", ("k",), [(args.k, value)], args.format, out)
     return EXIT_OK
 
 
-def _cmd_euler_mod2(args, parser: argparse.ArgumentParser, out) -> int:
-    if args.k < 0 or args.k % 2:
-        parser.error("k must be even and >= 0")
-    if not 1 <= args.n <= FAST_N_MAX:
-        parser.error(f"n must be between 1 and {FAST_N_MAX}")
+def _cmd_euler_mod2(args, out) -> int:
     value = congruences.euler_mod_2n(args.k, args.n)
     _emit_value_records("euler-mod2", ("k", "n"), [(args.k, args.n, value)], args.format, out)
     return EXIT_OK
@@ -587,49 +581,49 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("euler", parents=[common], help="print E_k exactly (or mod M)")
-    p.add_argument("k", type=int)
-    p.add_argument("--mod", type=int, default=None, help="reduce modulo this integer >= 2")
+    p.add_argument("k", type=_checked(_NONNEG))
+    p.add_argument("--mod", type=_checked(_MODULUS), default=None,
+                   help="reduce modulo this integer >= 2")
     p.set_defaults(handler=_cmd_euler)
 
     p = sub.add_parser("bernoulli", parents=[common], help="print B_k exactly")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_checked(_NONNEG))
     p.set_defaults(handler=_cmd_bernoulli)
 
     p = sub.add_parser("euler-mod2", parents=[common],
                        help="E_k mod 2^n via the fast path (never computes E_k exactly)")
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("k", type=_checked(_EVEN_NONNEG))
+    p.add_argument("n", type=_checked(_between(1, FAST_N_MAX)))
     p.set_defaults(handler=_cmd_euler_mod2)
 
-    claim_lines = "\n".join(f"  {key:<11} {CLAIMS[key].summary}" for key in CLAIMS)
-    p = sub.add_parser(
-        "check", parents=[common],
-        help="verify one claim over parameter ranges",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        description="Claims:\n" + claim_lines,
-    )
-    p.add_argument("claim", choices=sorted(CLAIMS), metavar="claim",
-                   help="one of: " + ", ".join(sorted(CLAIMS)))
-    for flag in _RANGE_FLAGS:
-        p.add_argument(f"--{flag}", default=None,
-                       help=f"range for {flag} (N, LO..HI, LO..HIodd, LO..HIeven, comma list)")
-    p.set_defaults(handler=_cmd_check)
+    # options go after the claim: each claim's sub-parser owns them
+    p = sub.add_parser("check", help="verify one claim over parameter ranges")
+    claims = p.add_subparsers(dest="claim", required=True, metavar="claim")
+    for key, claim in CLAIMS.items():
+        c = claims.add_parser(key, parents=[common], help=claim.summary, description=(
+            f"{claim.summary}. Each range is N, LO..HI, LO..HIodd, LO..HIeven or a comma list."))
+        for name, default, rule in claim.params:
+            values = "any integers" if rule is None else f"values must be {rule[0]}"
+            c.add_argument(f"--{name}", default=default, metavar="RANGE",
+                           type=_range_arg if rule is None else _checked(rule, _range_arg),
+                           help=f"{values} (default %(default)s)")
+        c.set_defaults(handler=functools.partial(_cmd_check, c))
 
     p = sub.add_parser("sweep", parents=[common],
                        help="valuation sweep over all even index pairs")
     p.add_argument("target", choices=("stern",))
-    p.add_argument("--kmax", type=int, default=256)
+    p.add_argument("--kmax", type=_checked(_between(2, SWEEP_K_MAX)), default=256)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("stern-table", parents=[common],
                        help="table of E_k mod 2^n for even k in [0, 2^n - 2], fast path")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_checked(_between(1, TABLE_N_MAX)), required=True)
     p.set_defaults(handler=_cmd_stern_table)
 
     p = sub.add_parser("bench", parents=[common],
                        help="time the fast path against the exact table")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_checked(_EVEN_NONNEG), required=True)
+    p.add_argument("--n", type=_checked(_between(1, FAST_N_MAX)), required=True)
     p.add_argument("--cutoff", type=int, default=5000,
                    help="skip the exact path above this k (default 5000)")
     p.set_defaults(handler=_cmd_bench)
@@ -659,8 +653,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(_merge_negative_ranges(
+    args = _parser().parse_args(_merge_negative_ranges(
         sys.argv[1:] if argv is None else argv))
 
     cache_path = args.cache or os.environ.get(CACHE_ENV)
@@ -674,7 +667,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # exact Euler numbers exceed the default int -> str conversion limit
         with special._unlimited_int_str():
-            status = args.handler(args, parser, sys.stdout)
+            status = args.handler(args, sys.stdout)
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -32,6 +32,7 @@ _OUT_OF_RULE = {
     "even and >= 2": "0",
     "> 1": "1",
     "odd primes": "9",
+    f"between 1 and {cli.CLAIM_N_MAX}": "0",
 }
 
 
@@ -156,7 +157,7 @@ class TestValueCommands:
             cli.main(["euler", "6", "--mod", "1", "--format", "json"])
         assert exc.value.code == cli.EXIT_USAGE
         captured = capsys.readouterr()
-        assert "--mod must be >= 2" in captured.err and captured.out == ""
+        assert "--mod: values must be >= 2" in captured.err and captured.out == ""
         code, out, err = run_cli(["euler", "6"], capsys)
         assert code == 0 and out == "-61\n" and err == ""
 
@@ -207,6 +208,26 @@ class TestValueCommands:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv,name,usage", [
+    (["euler", "-4"], "k", "euler"),
+    (["euler", "6", "--mod", "1"], "--mod", "euler"),
+    (["euler-mod2", "3", "2"], "k", "euler-mod2"),
+    (["stern-table", "--n", "21"], "--n", "stern-table"),
+    (["sweep", "stern", "--kmax", "1"], "--kmax", "sweep"),
+    (["bench", "--k", "3", "--n", "2"], "--k", "bench"),
+    (["check", "2.3", "--q", "3"], "--q", "check 2.3"),
+])
+def test_refusal_names_argument_and_command(argv, name, usage, capsys):
+    # argparse checks every argument, so the refusal shows the command's own usage
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {name}: values must be" in captured.err
+    assert captured.err.startswith(f"usage: eulermod {usage} ")
 
 
 class TestCheckCommand:
@@ -319,6 +340,22 @@ class TestCheckCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == cli.EXIT_USAGE
+
+    def test_option_before_claim_refused(self, capsys):
+        # --format belongs to the claim's sub-parser; were it also on `check`, the
+        # claim's default would silently replace it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--format", "json", "2.4", "--a", "0", "--m", "1", "--q", "2"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_claim_help_lists_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "2.2", "-h"])
+        assert exc.value.code == cli.EXIT_OK
+        out = capsys.readouterr().out
+        for name, default, _ in cli.CLAIMS["2.2"].params:
+            assert f"--{name} RANGE" in out and f"(default {default})" in out
 
     def test_repeated_values_checked_once(self, capsys):
         code, out, _ = run_cli(["check", "1.1", "--k", "2,2", "--q", "3", "--format", "json"],
@@ -508,6 +545,8 @@ class TestSweepAndTable:
     (["euler-mod2", "2", str(cli.FAST_N_MAX + 1)], cli.FAST_N_MAX),
     (["bench", "--k", "2", "--n", str(cli.FAST_N_MAX + 1)], cli.FAST_N_MAX),
     (["stern-table", "--n", str(cli.TABLE_N_MAX + 1)], cli.TABLE_N_MAX),
+    (["check", "1.3", "--n", str(cli.CLAIM_N_MAX + 1)], cli.CLAIM_N_MAX),
+    (["check", "power-sum", "--n", str(cli.CLAIM_N_MAX + 1)], cli.CLAIM_N_MAX),
 ])
 def test_oversized_n_refused(argv, cap, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -554,6 +593,14 @@ class TestBench:
         # 10**6 = 16960 (mod 2**16) costs a 16-multiply ladder, run for the
         # J(15) = 10923 terms of the second fold and for 3**k, plus 3 more
         assert cli.bench_report(10 ** 6, 16, cutoff=0).fast_multiplications == 174787
+
+    @pytest.mark.parametrize("k,n,message", [
+        (3, 4, "k must be even and >= 0, got 3"),
+        (2, 0, "n must be >= 1, got 0"),
+    ])
+    def test_report_refuses_bad_input(self, k, n, message):
+        with pytest.raises(ValueError, match=message):
+            cli.bench_report(k, n)
 
     def test_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
