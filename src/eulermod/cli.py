@@ -4,8 +4,9 @@ Every check emits one machine-readable record per parameter tuple with the
 stable fields {claim, parameters, holds, modulus, lhs, rhs, witness, detail};
 the process exits 0 exactly when every emitted record holds.  Exit codes:
 0 all checks hold, 1 some check failed, 2 usage or input error (including a
-bad cache file), 3 internal inconsistency (a checker's cross-validation
-tripped).
+bad cache file or a flag the command does not take: ``check 2.1 --k 4`` reads
+``eulermod check 2.1: error: unrecognized arguments: --k 4``), 3 internal
+inconsistency (a checker's cross-validation tripped), 141 stdout was closed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141  # what a shell reports for a writer whose reader left, as in `yes | head`
 
 CACHE_ENV = "EULERMOD_CACHE"
 
@@ -60,6 +62,7 @@ __all__ = [
     "EXIT_CHECK_FAILED",
     "EXIT_USAGE",
     "EXIT_INTERNAL",
+    "EXIT_PIPE",
     "CACHE_ENV",
     "FAST_N_MAX",
     "TABLE_N_MAX",
@@ -343,10 +346,6 @@ CLAIMS: dict[str, Claim] = {
     ),
 }
 
-# every range flag any claim takes, in first-use order
-_RANGE_FLAGS = tuple(dict.fromkeys(name for claim in CLAIMS.values()
-                                   for name, _, _ in claim.params))
-
 
 # ---------------------------------------------------------------------------
 # bench
@@ -473,12 +472,12 @@ def _emit_value_records(command: str, keys: Sequence[str], rows: Iterable[tuple]
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check(parser: argparse.ArgumentParser, args, out) -> int:
+def _cmd_check(args, out) -> int:
     claim = CLAIMS[args.claim]
     tuples = claim.tuples({name: getattr(args, name) for name, _, _ in claim.params})
     if not tuples:
-        parser.error("no parameter tuple in the given ranges lies in the claim's domain; "
-                     "nothing to check")
+        args.parser.error("no parameter tuple in the given ranges lies in the claim's domain; "
+                          "nothing to check")
     records = []
     for t in tuples:
         try:
@@ -576,73 +575,70 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "json", "csv"), default="plain",
                         help="output format (default plain)")
-    common.add_argument("--cache", default=None,
+    # for the commands that read the memoized exact tables; bench builds a fresh one
+    cached = argparse.ArgumentParser(add_help=False, parents=[common])
+    cached.add_argument("--cache", default=None,
                         help=f"table cache file (default from ${CACHE_ENV})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("euler", parents=[common], help="print E_k exactly (or mod M)")
+    p = sub.add_parser("euler", parents=[cached], help="print E_k exactly (or mod M)")
     p.add_argument("k", type=_checked(_NONNEG))
     p.add_argument("--mod", type=_checked(_MODULUS), default=None,
                    help="reduce modulo this integer >= 2")
-    p.set_defaults(handler=_cmd_euler)
+    p.set_defaults(handler=_cmd_euler, parser=p)
 
-    p = sub.add_parser("bernoulli", parents=[common], help="print B_k exactly")
+    p = sub.add_parser("bernoulli", parents=[cached], help="print B_k exactly")
     p.add_argument("k", type=_checked(_NONNEG))
-    p.set_defaults(handler=_cmd_bernoulli)
+    p.set_defaults(handler=_cmd_bernoulli, parser=p)
 
     p = sub.add_parser("euler-mod2", parents=[common],
                        help="E_k mod 2^n via the fast path (never computes E_k exactly)")
     p.add_argument("k", type=_checked(_EVEN_NONNEG))
     p.add_argument("n", type=_checked(_between(1, FAST_N_MAX)))
-    p.set_defaults(handler=_cmd_euler_mod2)
+    p.set_defaults(handler=_cmd_euler_mod2, parser=p)
 
     # options go after the claim: each claim's sub-parser owns them
     p = sub.add_parser("check", help="verify one claim over parameter ranges")
     claims = p.add_subparsers(dest="claim", required=True, metavar="claim")
     for key, claim in CLAIMS.items():
-        c = claims.add_parser(key, parents=[common], help=claim.summary, description=(
+        c = claims.add_parser(key, parents=[cached], help=claim.summary, description=(
             f"{claim.summary}. Each range is N, LO..HI, LO..HIodd, LO..HIeven or a comma list."))
         for name, default, rule in claim.params:
             values = "any integers" if rule is None else f"values must be {rule[0]}"
             c.add_argument(f"--{name}", default=default, metavar="RANGE",
                            type=_range_arg if rule is None else _checked(rule, _range_arg),
                            help=f"{values} (default %(default)s)")
-        c.set_defaults(handler=functools.partial(_cmd_check, c))
+        c.set_defaults(handler=_cmd_check, parser=c)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[cached],
                        help="valuation sweep over all even index pairs")
     p.add_argument("target", choices=("stern",))
     p.add_argument("--kmax", type=_checked(_between(2, SWEEP_K_MAX)), default=256)
-    p.set_defaults(handler=_cmd_sweep)
+    p.set_defaults(handler=_cmd_sweep, parser=p)
 
     p = sub.add_parser("stern-table", parents=[common],
                        help="table of E_k mod 2^n for even k in [0, 2^n - 2], fast path")
     p.add_argument("--n", type=_checked(_between(1, TABLE_N_MAX)), required=True)
-    p.set_defaults(handler=_cmd_stern_table)
+    p.set_defaults(handler=_cmd_stern_table, parser=p)
 
     p = sub.add_parser("bench", parents=[common],
                        help="time the fast path against the exact table")
     p.add_argument("--k", type=_checked(_EVEN_NONNEG), required=True)
     p.add_argument("--n", type=_checked(_between(1, FAST_N_MAX)), required=True)
-    p.add_argument("--cutoff", type=int, default=5000,
+    p.add_argument("--cutoff", type=_checked(_NONNEG), default=5000,
                    help="skip the exact path above this k (default 5000)")
-    p.set_defaults(handler=_cmd_bench)
+    p.set_defaults(handler=_cmd_bench, parser=p)
     return parser
 
 
 def _merge_negative_ranges(argv: Sequence[str]) -> list[str]:
-    # argparse reads "-5..5" as an option; fold it into "--a=-5..5" form
+    # argparse reads "-5..5" as an option: fold "--name -5..5" into "--name=-5..5"
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if (token.startswith("--") and token[2:] in _RANGE_FLAGS and i + 1 < len(argv)
-                and re.match(r"^-\d", argv[i + 1])):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(token)
-        i += 1
+    for token in argv:
+        if out and re.match(r"^--\w[\w-]*$", out[-1]) and re.match(r"^-\d", token):
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
     return out
 
 
@@ -653,10 +649,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(_merge_negative_ranges(
+    args, extra = _parser().parse_known_args(_merge_negative_ranges(
         sys.argv[1:] if argv is None else argv))
+    if extra:  # refused by the leaf parser, so the usage shown is the command's own
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
 
-    cache_path = args.cache or os.environ.get(CACHE_ENV)
+    cache_path = (args.cache or os.environ.get(CACHE_ENV)) if "cache" in args else None
     if cache_path and os.path.exists(cache_path):
         try:
             special.load_tables(cache_path)
@@ -668,9 +666,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         # exact Euler numbers exceed the default int -> str conversion limit
         with special._unlimited_int_str():
             status = args.handler(args, sys.stdout)
+            sys.stdout.flush()
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # the reader left: the interpreter's exit flush goes to devnull, silently
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
     if cache_path:
         try:

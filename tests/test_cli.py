@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -218,6 +220,8 @@ class TestValueCommands:
     (["sweep", "stern", "--kmax", "1"], "--kmax", "sweep"),
     (["bench", "--k", "3", "--n", "2"], "--k", "bench"),
     (["check", "2.3", "--q", "3"], "--q", "check 2.3"),
+    (["bench", "--k", "4", "--n", "3", "--cutoff", "-5"], "--cutoff", "bench"),
+    (["bench", "--k", "4", "--n", "3", "--cutoff=-5"], "--cutoff", "bench"),
 ])
 def test_refusal_names_argument_and_command(argv, name, usage, capsys):
     # argparse checks every argument, so the refusal shows the command's own usage
@@ -228,6 +232,48 @@ def test_refusal_names_argument_and_command(argv, name, usage, capsys):
     assert captured.out == ""
     assert f"argument {name}: values must be" in captured.err
     assert captured.err.startswith(f"usage: eulermod {usage} ")
+
+
+@pytest.mark.parametrize("argv,usage,extra", [
+    (["check", "2.1", "--k", "4"], "check 2.1", "--k 4"),
+    (["euler-mod2", "10", "4", "--bogus"], "euler-mod2", "--bogus"),
+    # the fast-path commands never read the exact tables, so they take no cache
+    (["euler-mod2", "10", "4", "--cache", "F"], "euler-mod2", "--cache F"),
+    (["stern-table", "--n", "3", "--cache", "F"], "stern-table", "--cache F"),
+    (["bench", "--k", "4", "--n", "3", "--cache", "F"], "bench", "--cache F"),
+])
+def test_unrecognized_argument_shows_command_usage(argv, usage, extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: eulermod {usage} ")
+    assert f"eulermod {usage}: error: unrecognized arguments: {extra}\n" in captured.err
+
+
+def test_negative_value_reaches_option_type(capsys):
+    # "--mod -3..4" is folded into "--mod=-3..4", so --mod's own int type refuses it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["euler", "6", "--mod", "-3..4"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "argument --mod: invalid int value: '-3..4'" in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_quietly(monkeypatch):
+    # about 310 KB of records, far past one pipe buffer, so the writer meets the closed end
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", src if not path else src + os.pathsep + path)
+    proc = subprocess.Popen([sys.executable, "-m", "eulermod.cli", "check", "2.4",
+                             "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE
+    assert err == b"" and all(json.loads(line)["claim"] == "2.4" for line in lines)
 
 
 class TestCheckCommand:
@@ -279,6 +325,10 @@ class TestCheckCommand:
         assert code == 0
         records = json_records(out)
         assert {r["parameters"]["a"] for r in records} == set(range(-10, 11))
+
+    def test_short_negative_range_value(self, capsys):
+        code, out, _ = run_cli(["check", "2.4", "--a", "-3..3", "--m", "1", "--q", "2"], capsys)
+        assert code == 0 and "checked 7 record(s): all hold" in out
 
     def test_documented_full_sweep(self, capsys):
         code, out, _ = run_cli(
@@ -623,6 +673,31 @@ class TestCache:
         monkeypatch.setenv(cli.CACHE_ENV, str(path))
         code, _, _ = run_cli(["euler", "10"], capsys)
         assert code == 0 and path.exists()
+
+    @pytest.mark.parametrize("argv,reads_tables", [
+        (["bernoulli", "6"], True),
+        (["check", "2.1", "--n", "0..3"], True),
+        (["sweep", "stern", "--kmax", "4"], True),
+        (["euler-mod2", "10", "4"], False),
+        (["stern-table", "--n", "3"], False),
+        (["bench", "--k", "4", "--n", "3"], False),
+    ])
+    def test_env_var_reaches_table_commands_only(self, argv, reads_tables, tmp_path, capsys,
+                                                 monkeypatch):
+        path = tmp_path / "env.cache"
+        monkeypatch.setenv(cli.CACHE_ENV, str(path))
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0 and path.exists() == reads_tables
+
+    def test_fast_path_ignores_unreadable_env_cache(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "non-ascii.cache"
+        path.write_bytes(b"E 0 1\n\xc3\xa9\n")
+        monkeypatch.setenv(cli.CACHE_ENV, str(path))
+        code, out, err = run_cli(["euler-mod2", "10", "4"], capsys)
+        assert (code, out, err) == (0, "7\n", "")
+        assert path.read_bytes() == b"E 0 1\n\xc3\xa9\n"
+        code, out, err = run_cli(["euler", "6"], capsys)
+        assert code == cli.EXIT_USAGE and out == "" and err.startswith("cache load refused")
 
     def test_corrupt_cache_refused(self, tmp_path, capsys):
         path = tmp_path / "tables.cache"
