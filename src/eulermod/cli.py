@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import congruences, special
 from .exactmath import InternalInconsistencyError, is_prime
@@ -472,37 +472,39 @@ def _emit_value_records(command: str, keys: Sequence[str], rows: Iterable[tuple]
 # ---------------------------------------------------------------------------
 
 
+def _records(claim: str, tuples: Iterable[dict], run_one: Callable[..., tuple]) -> Iterator[dict]:
+    """Each tuple's check record, built when it is asked for; exit 3 names the tuple."""
+    for t in tuples:
+        try:
+            fields = run_one(**t)
+        except InternalInconsistencyError as exc:
+            names = ", ".join(f"{name}={v}" for name, v in t.items())
+            raise InternalInconsistencyError(f"claim {claim} ({names}): {exc}") from exc
+        yield _check_record(claim, t, *fields)
+
+
 def _cmd_check(args, out) -> int:
     claim = CLAIMS[args.claim]
     tuples = claim.tuples({name: getattr(args, name) for name, _, _ in claim.params})
     if not tuples:
         args.parser.error("no parameter tuple in the given ranges lies in the claim's domain; "
                           "nothing to check")
-    records = []
-    for t in tuples:
-        try:
-            records.append(_check_record(args.claim, t, *claim.run_one(**t)))
-        except InternalInconsistencyError as exc:
-            names = ", ".join(f"{name}={v}" for name, v in t.items())
-            raise InternalInconsistencyError(f"claim {args.claim} ({names}): {exc}") from exc
     # every record is built before the first is written, so exit 3 prints no record
+    records = list(_records(args.claim, tuples, claim.run_one))
     held = _emit_check_records(records, args.format, out)
     return EXIT_OK if held else EXIT_CHECK_FAILED
 
 
-def _stern_record(k: int, l: int) -> dict:
+def _stern_record(k: int, l: int) -> tuple:
     record = congruences.stern_valuation(k, l)
-    return _check_record(
-        "stern", {"k": k, "l": l},
-        record.v_value == record.v_index, 0,
-        str(record.v_value), str(record.v_index),
-    )
+    return record.v_value == record.v_index, 0, str(record.v_value), str(record.v_index)
 
 
 def _cmd_sweep(args, out) -> int:
     kmax = args.kmax
-    records = (_stern_record(k, l) for k in range(2, kmax + 1, 2) for l in range(0, k, 2))
-    held = _emit_check_records(records, args.format, out)
+    tuples = ({"k": k, "l": l} for k in range(2, kmax + 1, 2) for l in range(0, k, 2))
+    # records stream, so on exit 3 those already written stay on stdout
+    held = _emit_check_records(_records("stern", tuples, _stern_record), args.format, out)
     return EXIT_OK if held else EXIT_CHECK_FAILED
 
 
@@ -567,6 +569,14 @@ def _cmd_euler_mod2(args, out) -> int:
     return EXIT_OK
 
 
+class _AfterClaim(argparse.Action):
+    """Refuses a claim's option given before the claim name, naming the option."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} goes after the claim name, "
+                     f"as in: eulermod check CLAIM {option_string} {values}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eulermod",
@@ -599,6 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # options go after the claim: each claim's sub-parser owns them
     p = sub.add_parser("check", help="verify one claim over parameter ranges")
+    p.add_argument("--format", "--cache", action=_AfterClaim, default=argparse.SUPPRESS,
+                   help=argparse.SUPPRESS)
     claims = p.add_subparsers(dest="claim", required=True, metavar="claim")
     for key, claim in CLAIMS.items():
         c = claims.add_parser(key, parents=[cached], help=claim.summary, description=(

@@ -2,7 +2,7 @@
 
 Everything here is pure and deterministic; values are immutable once built, so
 they are safe to share across threads.  Rationals are ``fractions.Fraction``
-(always in lowest terms, positive denominator), re-exported as ``Rational``.
+(always in lowest terms, positive denominator).
 """
 
 from __future__ import annotations
@@ -12,18 +12,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
     "NotInvertibleError",
     "InternalInconsistencyError",
-    "floor_div",
     "is_prime",
     "v_adic",
-    "mod_pow",
     "extended_gcd",
     "mod_inverse",
     "multiplicative_order",
@@ -39,13 +34,6 @@ class NotInvertibleError(ValueError):
 
 class InternalInconsistencyError(RuntimeError):
     """Two routes that must agree did not: a falsified claim or a bug, never ignorable."""
-
-
-def floor_div(a: int, b: int) -> int:
-    """Floor quotient of a by b, rounding toward minus infinity. Requires b > 0."""
-    if b <= 0:
-        raise ValueError(f"floor_div requires a positive divisor, got {b}")
-    return a // b
 
 
 def is_prime(n: int) -> bool:
@@ -89,19 +77,6 @@ def v_adic(x: RationalLike, p: int) -> int:
     if x == 0:
         raise ValueError("zero has no finite valuation")
     return _int_valuation(abs(x.numerator), p) - _int_valuation(x.denominator, p)
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus, result normalized into [0, modulus).
-
-    Binary (square-and-multiply) powering, O(log exponent) modular
-    multiplications; delegated to the built-in ``pow``.
-    """
-    if exponent < 0:
-        raise ValueError(f"negative exponent {exponent}")
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    return pow(base, exponent, modulus)
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:

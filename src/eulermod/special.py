@@ -333,7 +333,8 @@ def secant_series_oracle(count: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Cache file format: one record per line, "<kind> <index> <numerator>[/<den>]"
-# in decimal, kinds E and B.  Indices per kind must form a gapless prefix.
+# in decimal, kinds E and B.  Each kind's records run in index order from 0,
+# so an index is its record's position; the E and B blocks come in either order.
 # ---------------------------------------------------------------------------
 
 
@@ -365,9 +366,6 @@ def save_tables(path, euler: EulerNumberTable | None = None,
     os.replace(tmp, path)
 
 
-_MAX_INDEX_DIGITS = 12  # no cache file holds 10**12 records
-
-
 def _max_digits(n: int) -> int:
     """Decimal digits bounding the numerator and denominator of E_n and of B_n.
 
@@ -378,8 +376,13 @@ def _max_digits(n: int) -> int:
     return int((lgamma(n + 1) + (n + 1) * log(4)) / log(10)) + 2
 
 
-def _parse_cache(path) -> dict[str, list[Fraction]]:
-    records: dict[str, dict[int, Fraction]] = {"E": {}, "B": {}}
+def _parse_cache(path, tables) -> list[list]:
+    """Each table's cached values in index order, every record checked on its own line.
+
+    An index must read as its record's position among its kind, and a value
+    must obey its class's ``_fixed`` and ``_ODD_INTEGERS`` (then kept as an int).
+    """
+    found = {table._KIND: (table, []) for table in tables}
     try:
         with _unlimited_int_str(), open(path, "r", encoding="ascii") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -387,39 +390,35 @@ def _parse_cache(path) -> dict[str, list[Fraction]]:
                 if not line:
                     continue
                 parts = line.split()
-                if len(parts) != 3 or parts[0] not in ("E", "B"):
+                if len(parts) != 3 or parts[0] not in found:
                     shown = line if len(line) <= 80 else line[:80] + "..."
                     raise CacheError(f"{path}:{lineno}: malformed record {shown!r}")
-                kind, index_s, value_s = parts
-                if len(index_s) > _MAX_INDEX_DIGITS:
-                    raise CacheError(f"{path}:{lineno}: index has more than "
-                                     f"{_MAX_INDEX_DIGITS} digits")
-                try:
-                    index = int(index_s)
-                except ValueError as exc:
-                    raise CacheError(f"{path}:{lineno}: {exc}") from None
-                if index < 0:
-                    raise CacheError(f"{path}:{lineno}: negative index {index}")
+                kind, index, value_s = parts
+                table, values = found[kind]
+                n = len(values)
+                if index != str(n):
+                    shown = index if len(index) <= 20 else index[:20] + "..."
+                    raise CacheError(f"{path}:{lineno}: found {kind} {shown} where the "
+                                     f"gapless prefix needs {kind} {n}")
                 num, _, den = value_s.partition("/")
                 # refused before int() runs: converting a huge digit string is quadratic
-                limit = _max_digits(index)
+                limit = _max_digits(n)
                 if len(num.lstrip("+-")) > limit or len(den) > limit:
-                    raise CacheError(f"{path}:{lineno}: {kind} {index} has more digits than "
+                    raise CacheError(f"{path}:{lineno}: {kind} {n} has more digits than "
                                      f"any genuine value (at most {limit})")
                 try:
                     value = Fraction(int(num), int(den) if den else 1)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise CacheError(f"{path}:{lineno}: {exc}") from None
-                if index in records[kind]:
-                    raise CacheError(f"{path}:{lineno}: duplicate {kind} {index}")
-                records[kind][index] = value
+                fixed, odd = table._fixed(n), table._ODD_INTEGERS
+                if fixed is None and odd and (value.denominator != 1 or value.numerator % 2 == 0):
+                    raise CacheError(f"{path}:{lineno}: {kind} {n} must be an odd integer")
+                if fixed is not None and value != fixed:
+                    raise CacheError(f"{path}:{lineno}: {kind} {n} must be {fixed}")
+                values.append(value.numerator if odd else value)
     except UnicodeDecodeError as exc:
         raise CacheError(f"{path}: byte {exc.object[exc.start]:#04x} is not ASCII") from None
-
-    for kind, found in records.items():
-        if found and sorted(found) != list(range(len(found))):
-            raise CacheError(f"{path}: {kind} records do not form a gapless prefix from 0")
-    return {kind: [found[n] for n in range(len(found))] for kind, found in records.items()}
+    return [values for _, values in found.values()]
 
 
 def load_tables(path, euler: EulerNumberTable | None = None,
@@ -427,17 +426,18 @@ def load_tables(path, euler: EulerNumberTable | None = None,
                 rng: random.Random | None = None) -> tuple[int, int]:
     """Load a cache file into the tables after validation and a tamper check.
 
-    Each kind runs the same checks, from its table class.  Structure: index 0
-    and every odd index must hold the class's fixed entry, and every even E
-    entry must be an odd integer.  Probes: one random cached index plus the
-    top even cached index are re-derived by the class's row recurrence from
-    the cached prefix below them; any mismatch refuses the whole load.  The
-    odd entries above it are fixed by the structure check, so re-deriving the
-    top even row makes the check deterministic against single-value
-    corruption: a corrupted entry either fails the structure check, feeds the
-    top row and skews it, or is the top row itself.  Only values are merged,
-    not the tables' kernel columns: the first extension past a loaded top
-    replays the kernel through every loaded row and raises
+    Each kind runs the same checks, from its table class, record by record; a
+    refusal names the file and line.  Order: indices run from 0 in steps of 1.
+    Structure: index 0 and every odd index must hold the class's fixed entry,
+    and every even E entry must be an odd integer.  Probes: one random cached
+    index plus the top even cached index are re-derived by the class's row
+    recurrence from the cached prefix below them; any mismatch refuses the
+    whole load.  The odd entries above it are fixed by the structure check, so
+    re-deriving the top even row makes the check deterministic against
+    single-value corruption: a corrupted entry either fails the structure
+    check, feeds the top row and skews it, or is the top row itself.  Only
+    values are merged, not the tables' kernel columns: the first extension
+    past a loaded top replays the kernel through every loaded row and raises
     ``InternalInconsistencyError`` at the first one that differs, so each row
     gets a full second check before the table grows past it.  A record with
     more digits than any genuine value is refused before it is converted.  An
@@ -448,26 +448,15 @@ def load_tables(path, euler: EulerNumberTable | None = None,
               bernoulli if bernoulli is not None else _BERNOULLI)
     chooser = rng if rng is not None else random
 
-    parsed = _parse_cache(path)
-    loaded = []
-    for table in tables:
-        kind, values = table._KIND, parsed[table._KIND]
-        for n, v in enumerate(values):
-            fixed = table._fixed(n)
-            if fixed is None:
-                if table._ODD_INTEGERS and (v.denominator != 1 or v.numerator % 2 == 0):
-                    raise CacheError(f"{path}: {kind} {n} must be an odd integer")
-            elif v != fixed:
-                raise CacheError(f"{path}: {kind} {n} must be {fixed}")
-        if table._ODD_INTEGERS:
-            values = [v.numerator for v in values]
+    loaded = _parse_cache(path, tables)
+    for table, values in zip(tables, loaded):
         if len(values) > 1:
             top_even = (len(values) - 1) & ~1
             probes = {chooser.randrange(1, len(values)), top_even} - {0}
             for probe in sorted(probes):
                 if table._row(values, probe) != values[probe]:
-                    raise CacheError(f"{path}: tamper check failed re-deriving {kind} {probe}")
-        loaded.append(values)
+                    raise CacheError(f"{path}: tamper check failed re-deriving "
+                                     f"{table._KIND} {probe}")
 
     for table, values in zip(tables, loaded):
         with table._lock:

@@ -252,6 +252,24 @@ def test_unrecognized_argument_shows_command_usage(argv, usage, extra, capsys):
     assert f"eulermod {usage}: error: unrecognized arguments: {extra}\n" in captured.err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["check", "--format", "json", "2.4"], "--format json"),
+    (["check", "--format=json", "2.4"], "--format json"),
+    (["check", "--cache", "F", "2.4"], "--cache F"),
+])
+def test_claim_option_before_claim_refused(argv, option, capsys):
+    # argparse would read the option's value as the claim name
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: eulermod check ")
+    name = option.split()[0]
+    assert (f"eulermod check: error: {name} goes after the claim name, "
+            f"as in: eulermod check CLAIM {option}\n") in captured.err
+
+
 def test_negative_value_reaches_option_type(capsys):
     # "--mod -3..4" is folded into "--mod=-3..4", so --mod's own int type refuses it
     with pytest.raises(SystemExit) as exc:
@@ -746,3 +764,19 @@ class TestCache:
         code, out, err = run_cli(["euler", "10", "--cache", str(path)], capsys)
         assert code == cli.EXIT_INTERNAL
         assert "E 6 differs" in err and out == ""
+
+    def test_tampered_row_under_sweep_names_pair(self, tmp_path, capsys, monkeypatch):
+        # E_10 is the first entry past the cached top, so (10, 0) is the first pair to replay
+        values = [special.euler_number(n) for n in range(9)]
+        values[6] += 2
+        values[8] = special._euler_row(values, 8)
+        path = tmp_path / "tables.cache"
+        path.write_text("".join(f"E {n} {v}\n" for n, v in enumerate(values)))
+        monkeypatch.setattr(special, "_EULER", special.EulerNumberTable())
+        monkeypatch.setattr(special.random, "randrange", lambda lo, hi: 2)
+        code, out, err = run_cli(["sweep", "stern", "--kmax", "10", "--cache", str(path)],
+                                 capsys)
+        assert code == cli.EXIT_INTERNAL
+        assert "internal inconsistency: claim stern (k=10, l=0): " in err
+        assert "E 6 differs" in err
+        assert "stern k=8 l=6" in out  # records written before the replay stay on stdout

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 import time
@@ -382,8 +383,34 @@ class TestCacheFile:
     def test_duplicate_refused(self, tmp_path):
         path = tmp_path / "dup.cache"
         path.write_text("E 0 1\nE 0 1\n")
-        with pytest.raises(CacheError, match="duplicate"):
+        with pytest.raises(CacheError, match="found E 0 where the gapless prefix needs E 1"):
             load_tables(path, euler=EulerNumberTable(), bernoulli=BernoulliNumberTable())
+
+    def test_swapped_pair_refused_naming_line(self, tmp_path):
+        path = tmp_path / "swap.cache"
+        path.write_text("E 0 1\nE 2 -1\nE 1 0\n")
+        with pytest.raises(CacheError, match=r"swap\.cache:2: found E 2 where the gapless "
+                                             r"prefix needs E 1$"):
+            load_tables(path, euler=EulerNumberTable(), bernoulli=BernoulliNumberTable())
+
+    @pytest.mark.parametrize("index", ["01", "+1"])
+    def test_non_canonical_index_refused(self, tmp_path, index):
+        # int() reads both as 1, but save_tables never writes them
+        path = tmp_path / "index.cache"
+        path.write_text(f"E 0 1\nE {index} 0\n")
+        with pytest.raises(CacheError, match=rf":2: found E {re.escape(index)} where the "
+                                             "gapless prefix needs E 1"):
+            load_tables(path, euler=EulerNumberTable(), bernoulli=BernoulliNumberTable())
+
+    def test_bernoulli_block_first_loads(self, tmp_path):
+        path = tmp_path / "tables.cache"
+        e, b = self._fresh_pair()
+        save_tables(path, euler=e, bernoulli=b)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[13:] + lines[:13]))  # E_0..E_12, then B_0..B_10
+        e2, b2 = EulerNumberTable(), BernoulliNumberTable()
+        assert load_tables(path, euler=e2, bernoulli=b2, rng=random.Random(7)) == (12, 10)
+        assert e2.snapshot() == e.snapshot() and b2.snapshot() == b.snapshot()
 
     def test_wrong_base_value_refused(self, tmp_path):
         path = tmp_path / "base.cache"
@@ -399,10 +426,12 @@ class TestCacheFile:
         ("E 0 1\nE 1 0\nE 2 1/2", "E", 2),
     ], ids=["B0", "B1", "odd-B3", "even-E2", "non-integer-E2"])
     def test_structural_refusal_names_kind_and_index(self, tmp_path, records, kind, index):
+        # the offending record is the file's last line
         path = tmp_path / "structure.cache"
         path.write_text(records + "\n")
         e, b = EulerNumberTable(), BernoulliNumberTable()
-        with pytest.raises(CacheError, match=rf": {kind} {index} (must|is) "):
+        line = records.count("\n") + 1
+        with pytest.raises(CacheError, match=rf"structure\.cache:{line}: {kind} {index} must be "):
             load_tables(path, euler=e, bernoulli=b)
         assert e.computed_up_to == b.computed_up_to == 0
 
@@ -420,12 +449,14 @@ class TestCacheFile:
             load_tables(path, euler=EulerNumberTable(), bernoulli=BernoulliNumberTable())
         assert time.perf_counter() - start < 0.25
 
-    @pytest.mark.parametrize("record", ["B 4 1/" + "3" * 5000, "E 1" + "0" * 20 + " 0"],
-                             ids=["denominator", "index"])
-    def test_oversized_denominator_or_index_refused(self, tmp_path, record):
+    @pytest.mark.parametrize("record,match", [
+        ("B 0 1\nB 1 -1/2\nB 2 1/6\nB 3 0\nB 4 1/" + "3" * 5000, "digits"),
+        ("E 1" + "0" * 20 + " 0", "needs E 0"),
+    ], ids=["denominator", "index"])
+    def test_oversized_denominator_or_index_refused(self, tmp_path, record, match):
         path = tmp_path / "huge.cache"
         path.write_text(record + "\n")
-        with pytest.raises(CacheError, match="digits"):
+        with pytest.raises(CacheError, match=match):
             load_tables(path, euler=EulerNumberTable(), bernoulli=BernoulliNumberTable())
 
     def test_malformed_long_line_shown_cut(self, tmp_path):
