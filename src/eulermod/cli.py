@@ -21,11 +21,12 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import congruences, special
-from .exactmath import InternalInconsistencyError, is_prime
+from .exactmath import (InternalInconsistencyError, _ABOVE_ONE, _EVEN_NONNEG, _EVEN_POS,
+                        _MODULUS, _NONNEG, _ODD_POS, _ODD_PRIME, _POS, _Rule)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -52,6 +53,12 @@ SWEEP_K_MAX = 2048
 # step of n: one tuple at k = 40, n = 22 takes about 4.6 s under 1.3 and
 # 2.6 s under power-sum (2-vCPU VM, Python 3.11.7).
 CLAIM_N_MAX = 22
+# Most values a `check` range may expand to, and most tuples a `check` box may
+# span; both are refused before anything is expanded.  `check` holds every
+# record until it writes them, so the cap bounds memory: 2**17 tuples of 2.4,
+# the cheapest claim per tuple, take about 2.9 s and peak near 105 MB in JSON
+# (2-vCPU VM, Python 3.11.7).
+CHECK_TUPLES_MAX = 2 ** 17
 
 __all__ = [
     "main",
@@ -68,6 +75,7 @@ __all__ = [
     "TABLE_N_MAX",
     "SWEEP_K_MAX",
     "CLAIM_N_MAX",
+    "CHECK_TUPLES_MAX",
 ]
 
 
@@ -82,6 +90,8 @@ def parse_range(spec: str) -> list[int]:
     """Expand a range spec: N, LO..HI, LO..HIodd, LO..HIeven, or a comma list.
 
     Repeated values are dropped; the rest keep their first-occurrence order.
+    A spec that would expand to more than CHECK_TUPLES_MAX values is refused
+    before the range that crosses it is expanded.
     """
     values: list[int] = []
     for item in spec.split(","):
@@ -99,12 +109,14 @@ def parse_range(spec: str) -> list[int]:
         if hi < lo:
             raise ValueError(f"empty range {item!r}")
         parity = match.group(3)
-        for v in range(lo, hi + 1):
-            if parity == "odd" and v % 2 == 0:
-                continue
-            if parity == "even" and v % 2:
-                continue
-            values.append(v)
+        if parity is None:
+            span = range(lo, hi + 1)
+        else:  # from the first value of the wanted parity
+            span = range(lo + (lo % 2 != (parity == "odd")), hi + 1, 2)
+        if len(values) + len(span) > CHECK_TUPLES_MAX:
+            raise ValueError(f"range {item!r} would expand past "
+                             f"CHECK_TUPLES_MAX = {CHECK_TUPLES_MAX} values")
+        values.extend(span)
     return list(dict.fromkeys(values))
 
 
@@ -139,19 +151,9 @@ def _report_fields(report, holds: bool | None = None, detail: dict | None = None
 # ---------------------------------------------------------------------------
 
 
-_Rule = tuple[str, Callable[[int], bool]]  # (description, predicate)
-
-_NONNEG = (">= 0", lambda v: v >= 0)
-_EVEN_NONNEG = ("even and >= 0", lambda v: v >= 0 and v % 2 == 0)
-_ODD_POS = ("odd and >= 1", lambda v: v >= 1 and v % 2 == 1)
-_POS = (">= 1", lambda v: v >= 1)
-_EVEN_POS = ("even and >= 2", lambda v: v >= 2 and v % 2 == 0)
-_ODD_PRIME = ("odd primes", lambda v: v > 2 and is_prime(v))
-_MODULUS = (">= 2", lambda v: v >= 2)
-
-
 def _between(lo: int, hi: int) -> _Rule:
-    return (f"between {lo} and {hi}", lambda v: lo <= v <= hi)
+    # the CLI's own caps; every other rule is the library's, from exactmath
+    return _Rule(f"between {lo} and {hi}", lambda v: lo <= v <= hi)
 
 
 def _range_arg(text: str) -> list[int]:
@@ -168,14 +170,12 @@ def _checked(rule: _Rule, parse: Callable[[str], int | list[int]] = int) -> Call
     A scalar is checked as a one-value list, so every refusal reads
     ``argument NAME: values must be RULE (offending: [...])``.
     """
-    description, ok = rule
-
     def check(text: str):
         value = parse(text)
-        bad = [v for v in (value if isinstance(value, list) else [value]) if not ok(v)]
+        bad = [v for v in (value if isinstance(value, list) else [value]) if not rule.holds(v)]
         if bad:
             raise argparse.ArgumentTypeError(
-                f"values must be {description} (offending: {bad[:5]})")
+                f"values must be {rule.description} (offending: {bad[:5]})")
         return value
 
     check.__name__ = parse.__name__  # argparse names it in "invalid int value: ..."
@@ -200,7 +200,12 @@ class Claim:
     keep: Callable[..., bool] | None = None
 
     def tuples(self, ranges: dict[str, list[int]]) -> list[dict[str, int]]:
+        """The box's tuples in the domain; a box of more than CHECK_TUPLES_MAX is refused."""
         names = [name for name, _, _ in self.params]
+        size = prod(len(ranges[name]) for name in names)
+        if size > CHECK_TUPLES_MAX:
+            raise ValueError(f"the ranges span {size} tuples, more than "
+                             f"CHECK_TUPLES_MAX = {CHECK_TUPLES_MAX}")
         combos = (dict(zip(names, t)) for t in product(*(ranges[name] for name in names)))
         return [t for t in combos if self.keep is None or self.keep(**t)]
 
@@ -298,7 +303,7 @@ CLAIMS: dict[str, Claim] = {
     "2.2": Claim(
         summary="Bernoulli polynomial scaling congruence vs floor-weighted sum mod q",
         params=(("a", "-5..5", None), ("k", "1..12", _POS), ("m", "1..7odd", _POS),
-                ("q", "2,4,6,8,16", ("> 1", lambda v: v > 1))),
+                ("q", "2,4,6,8,16", _ABOVE_ONE)),
         run_one=_run_bernoulli_poly_congruence,
         keep=_coprime,
     ),
@@ -485,7 +490,10 @@ def _records(claim: str, tuples: Iterable[dict], run_one: Callable[..., tuple]) 
 
 def _cmd_check(args, out) -> int:
     claim = CLAIMS[args.claim]
-    tuples = claim.tuples({name: getattr(args, name) for name, _, _ in claim.params})
+    try:
+        tuples = claim.tuples({name: getattr(args, name) for name, _, _ in claim.params})
+    except ValueError as exc:
+        args.parser.error(str(exc))
     if not tuples:
         args.parser.error("no parameter tuple in the given ranges lies in the claim's domain; "
                           "nothing to check")
@@ -616,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         c = claims.add_parser(key, parents=[cached], help=claim.summary, description=(
             f"{claim.summary}. Each range is N, LO..HI, LO..HIodd, LO..HIeven or a comma list."))
         for name, default, rule in claim.params:
-            values = "any integers" if rule is None else f"values must be {rule[0]}"
+            values = "any integers" if rule is None else f"values must be {rule.description}"
             c.add_argument(f"--{name}", default=default, metavar="RANGE",
                            type=_range_arg if rule is None else _checked(rule, _range_arg),
                            help=f"{values} (default %(default)s)")
@@ -667,9 +675,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
 
     cache_path = (args.cache or os.environ.get(CACHE_ENV)) if "cache" in args else None
+    loaded = None  # the file's top index per table, once read
     if cache_path and os.path.exists(cache_path):
         try:
-            special.load_tables(cache_path)
+            loaded = special.load_tables(cache_path)
         except (special.CacheError, OSError) as exc:
             print(f"cache load refused: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -689,7 +698,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.close(devnull)
         return EXIT_PIPE
 
-    if cache_path:
+    # rewritten only when absent or when a table grew past what the file holds
+    if cache_path and loaded != (special.euler_table().computed_up_to,
+                                 special.bernoulli_table().computed_up_to):
         try:
             special.save_tables(cache_path)
         except OSError as exc:

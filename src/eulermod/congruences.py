@@ -23,14 +23,9 @@ from itertools import repeat, zip_longest
 from math import comb, gcd
 
 from . import special
-from .exactmath import (
-    InternalInconsistencyError,
-    RationalLike,
-    UnivariatePolynomial,
-    is_prime,
-    mod_inverse,
-    v_adic,
-)
+from .exactmath import (InternalInconsistencyError, RationalLike, UnivariatePolynomial,
+                        _ABOVE_ONE, _EVEN_NONNEG, _EVEN_POS, _MODULUS, _NONNEG, _ODD_POS,
+                        _ODD_PRIME, _POS, _require, mod_inverse, v_adic)
 
 __all__ = [
     "QAdicContext",
@@ -65,8 +60,7 @@ class QAdicContext:
     q: int
 
     def __post_init__(self) -> None:
-        if self.q <= 1:
-            raise ValueError(f"q must be an integer > 1, got {self.q}")
+        _require(_ABOVE_ONE, "q", self.q)
 
 
 @dataclass(frozen=True)
@@ -160,12 +154,10 @@ def poly_congruent_mod(P: UnivariatePolynomial, Q: UnivariatePolynomial,
 
 def alternating_power_sum(q: int, k: int, modulus: int | None = None) -> int:
     """sum_{j=0}^{q-1} (-1)**j (2j+1)**k, exact, or reduced mod ``modulus``."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if modulus is not None and modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    _require(_POS, "q", q)
+    _require(_NONNEG, "k", k)
+    if modulus is not None:
+        _require(_MODULUS, "modulus", modulus)
     total = 0
     for j in range(q):  # pow(x, k, None) is the exact power
         term = pow(2 * j + 1, k, modulus)
@@ -175,10 +167,8 @@ def alternating_power_sum(q: int, k: int, modulus: int | None = None) -> int:
 
 def check_euler_mod_odd(k: int, q: int) -> CongruenceReport:
     """E_k against the alternating power sum of q odd-number k-th powers, mod odd q."""
-    if k < 0 or k % 2:
-        raise ValueError(f"k must be even and >= 0, got {k}")
-    if q < 1 or q % 2 == 0:
-        raise ValueError(f"q must be odd and >= 1, got {q}")
+    _require(_EVEN_NONNEG, "k", k)
+    _require(_ODD_POS, "q", q)
     e_k = special.euler_number(k)
     s = alternating_power_sum(q, k)
     if q == 1:
@@ -194,14 +184,11 @@ def stern_sum(k: int, n: int, m: int, modulus: int | None = None) -> int:
     S = sum_{j=0}^{2**n - 1} (-1)**(j-1) (2j+1)**k floor((j m + (m-1)/2) / 2**n),
     exact, or reduced mod ``modulus`` with modular powering per term.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"m must be odd and >= 1, got {m}")
-    if modulus is not None and modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    _require(_NONNEG, "k", k)
+    _require(_POS, "n", n)
+    _require(_ODD_POS, "m", m)
+    if modulus is not None:
+        _require(_MODULUS, "modulus", modulus)
     half = (m - 1) // 2
     total = 0
     for j in range(1 << n):
@@ -220,8 +207,7 @@ def check_euler_mod_two_power(k: int, n: int, m: int) -> CongruenceReport:
     integers: halves are not units modulo a power of two, so they must never
     appear.
     """
-    if k < 0 or k % 2:
-        raise ValueError(f"k must be even and >= 0, got {k}")
+    _require(_EVEN_NONNEG, "k", k)
     eps = -1 if ((m - 1) // 2) % 2 else 1
     s = stern_sum(k, n, m)
     lhs = (m ** (k + 1) - eps) * special.euler_number(k)
@@ -236,10 +222,8 @@ def cleared_coefficient_valuation(k: int, m: int) -> int:
     sweeps record the valuation so the cases where the coefficient is even
     (e.g. m = 7) are visible in the output.
     """
-    if k < 0 or k % 2:
-        raise ValueError(f"k must be even and >= 0, got {k}")
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"m must be odd and >= 1, got {m}")
+    _require(_EVEN_NONNEG, "k", k)
+    _require(_ODD_POS, "m", m)
     eps = -1 if ((m - 1) // 2) % 2 else 1
     value = m ** (k + 1) - eps
     if value == 0:  # m = 1: coefficient degenerates to zero
@@ -300,10 +284,8 @@ def euler_mod_2n(k: int, n: int) -> int:
     fold; ``stern_sum`` and ``alternating_power_sum`` stay unfolded: they are
     the independent route that certifies these identities.
     """
-    if k < 0 or k % 2:
-        raise ValueError(f"k must be even and >= 0, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require(_EVEN_NONNEG, "k", k)
+    _require(_POS, "n", n)
     target = 1 << n
     r = k % target
     # x_j = 1, 5, 9, ... for even j and 3, 7, 11, ... for odd j
@@ -330,8 +312,7 @@ def stern_table(n: int) -> dict[int, int]:
 
     The A_i are summed once per n; each row costs ceil(n/3) products and steps 3**k by 9.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require(_POS, "n", n)
     target = 1 << n
     ys = [4 * j * (j + 1) for j in range(_folded_terms(n))]
     sums = [sum(map(pow, ys[0::2], repeat(i), repeat(target)))
@@ -346,18 +327,16 @@ def stern_table(n: int) -> dict[int, int]:
 
 def check_power_sum_divisibility(k: int, n: int) -> bool:
     """Whether 2**(n+1) divides the alternating power sum over a full 2**n block."""
-    if k < 0 or k % 2:
-        raise ValueError(f"k must be even and >= 0, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require(_EVEN_NONNEG, "k", k)
+    _require(_POS, "n", n)
     modulus = 1 << (n + 1)
     return alternating_power_sum(1 << n, k, modulus=modulus) == 0
 
 
 def stern_valuation(k: int, l: int) -> ValuationRecord:
     """2-adic valuations of k - l and E_k - E_l (exact tables); they should match."""
-    if k % 2 or l % 2 or k < 0 or l < 0:
-        raise ValueError(f"indices must be even and >= 0, got k={k}, l={l}")
+    _require(_EVEN_NONNEG, "k", k)
+    _require(_EVEN_NONNEG, "l", l)
     if k == l:
         raise ValueError("indices must differ")
     e_k, e_l = special.euler_number(k), special.euler_number(l)
@@ -436,12 +415,9 @@ def check_bernoulli_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
     one, say) is never answered with the old left side.  The floor sum and
     the decision still run for every q.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if q <= 1:
-        raise ValueError(f"q must be > 1, got {q}")
+    _require(_POS, "k", k)
+    _require(_POS, "m", m)
+    _require(_ABOVE_ONE, "q", q)
     if gcd(m, q) != 1:
         raise ValueError(f"m and q must be coprime, got m={m}, q={q}")
     ctx = QAdicContext(q)
@@ -466,14 +442,11 @@ def check_euler_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
     k, so a changed E_k (a monkeypatched one, say) is never answered with
     the old left side.  The floor sum and the decision still run for every q.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if q < 2 or q % 2:
-        raise ValueError(f"q must be even and >= 2, got {q}")
+    _require(_NONNEG, "k", k)
+    _require(_EVEN_POS, "q", q)
     if gcd(m, q) != 1:
         raise ValueError(f"m and q must be coprime, got m={m}, q={q}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _require(_POS, "m", m)
     ctx = QAdicContext(q)
     lhs = _euler_lhs(special.euler_polynomial(k), a, k, m)
     rhs = _floor_sum_terms(a, m, q, k, alternating=True)
@@ -486,10 +459,8 @@ def signed_floor_sum_identity(a: int, m: int, q: int) -> tuple[Fraction, Fractio
     computed = sum_{j=0}^{q-1} (-1)**(j-1) (floor((a+jm)/q) + (1-m)/2),
     closed   = (m - (-1)**a)/2.  Exact identity, not a congruence.
     """
-    if q < 2 or q % 2:
-        raise ValueError(f"q must be even and >= 2, got {q}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _require(_EVEN_POS, "q", q)
+    _require(_POS, "m", m)
     if gcd(m, q) != 1:
         raise ValueError(f"m and q must be coprime, got m={m}, q={q}")
     computed = _floor_sum_terms(a, m, q, 0, alternating=True).coefficient(0)
@@ -505,13 +476,10 @@ def kummer_check(p: int, n: int, k: int, l: int) -> KummerResult:
     instance interesting.  Requires p odd prime with p - 1 dividing neither
     k nor l, so both values are p-integers.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    for index in (k, l):
-        if index < 1 or index % 2:
-            raise ValueError(f"indices must be even and >= 2, got {index}")
+    _require(_ODD_PRIME, "p", p)
+    _require(_POS, "n", n)
+    for name, index in (("k", k), ("l", l)):
+        _require(_EVEN_POS, name, index)
         if index % (p - 1) == 0:
             raise ValueError(
                 f"p - 1 = {p - 1} divides {index}; B_{index}/{index} is not a {p}-integer"
@@ -529,10 +497,8 @@ def adams_thangadurai_valuation(p: int, k: int) -> tuple[int, int]:
     The numerator valuation is always >= v_p(k); the conjectured ceiling is
     v_p(k) + 1 when v_p(k) > 0.  Callers assert whichever side they sweep.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if k < 2 or k % 2:
-        raise ValueError(f"k must be even and >= 2, got {k}")
+    _require(_ODD_PRIME, "p", p)
+    _require(_EVEN_POS, "k", k)
     if k % (p - 1) == 0:
         raise ValueError(f"p - 1 = {p - 1} divides {k}; p sits in the denominator of B_{k}")
     n = v_adic(k, p)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -50,6 +50,31 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+class _Rule(NamedTuple):
+    """A hypothesis on one integer argument: how a refusal names it, and its test."""
+
+    description: str
+    holds: Callable[[int], bool]
+
+
+# The parity and range hypotheses of the paper's statements, read both by the
+# library's refusals (``_require``) and by the CLI's argparse types.
+_NONNEG = _Rule(">= 0", lambda v: v >= 0)
+_POS = _Rule(">= 1", lambda v: v >= 1)
+_ABOVE_ONE = _Rule("> 1", lambda v: v > 1)
+_MODULUS = _Rule(">= 2", lambda v: v >= 2)
+_EVEN_NONNEG = _Rule("even and >= 0", lambda v: v >= 0 and v % 2 == 0)
+_EVEN_POS = _Rule("even and >= 2", lambda v: v >= 2 and v % 2 == 0)
+_ODD_POS = _Rule("odd and >= 1", lambda v: v >= 1 and v % 2 == 1)
+_ODD_PRIME = _Rule("an odd prime", lambda v: v > 2 and is_prime(v))
+
+
+def _require(rule: _Rule, name: str, value: int) -> None:
+    """Refuse value unless it obeys rule: ``ValueError("NAME must be RULE, got V")``."""
+    if not rule.holds(value):
+        raise ValueError(f"{name} must be {rule.description}, got {value}")
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -96,8 +121,7 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 def mod_inverse(x: int, modulus: int) -> int:
     """Inverse of x modulo modulus by the built-in ``pow``; requires gcd(x, modulus) = 1."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    _require(_MODULUS, "modulus", modulus)
     try:
         return pow(x, -1, modulus)
     except ValueError:
@@ -143,8 +167,7 @@ def multiplicative_order(x: int, modulus: int) -> int:
     not needed, so the modulus 2**20 costs a handful of powerings rather
     than a scan.
     """
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    _require(_MODULUS, "modulus", modulus)
     x %= modulus
     if gcd(x, modulus) != 1:
         raise NotInvertibleError(f"{x} shares a factor with {modulus}; order undefined")

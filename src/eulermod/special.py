@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lgamma, log
 
-from .exactmath import InternalInconsistencyError, UnivariatePolynomial
+from .exactmath import InternalInconsistencyError, UnivariatePolynomial, _NONNEG, _POS, _require
 
 __all__ = [
     "EulerNumberTable",
@@ -169,8 +169,7 @@ class _ColumnTable:
                 )
 
     def value(self, n: int):
-        if n < 0:
-            raise ValueError(f"index must be >= 0, got {n}")
+        _require(_NONNEG, "index", n)
         self.extend_to(n)
         return self._values[n]
 
@@ -248,8 +247,7 @@ def bernoulli_number(n: int) -> Fraction:
 @lru_cache(maxsize=None)
 def euler_polynomial(n: int) -> UnivariatePolynomial:
     """E_n(x) = sum_k C(n, k) E_k / 2**k * (x - 1/2)**(n-k): monic, degree n."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _require(_NONNEG, "index", n)
     _EULER.extend_to(n)
     coeffs = [Fraction(0)] * (n + 1)
     c = 1  # C(n, k), updated over even k
@@ -263,8 +261,7 @@ def euler_polynomial(n: int) -> UnivariatePolynomial:
 @lru_cache(maxsize=None)
 def bernoulli_polynomial(n: int) -> UnivariatePolynomial:
     """B_n(x) = sum_k C(n, k) B_k x**(n-k): monic, degree n."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _require(_NONNEG, "index", n)
     _BERNOULLI.extend_to(n)
     coeffs = [Fraction(0)] * (n + 1)
     c = 1  # C(n, k)
@@ -277,8 +274,8 @@ def bernoulli_polynomial(n: int) -> UnivariatePolynomial:
 
 def check_raabe(n: int, m: int) -> bool:
     """Multiplication formula: m**(n-1) * sum_r B_n((x+r)/m) equals B_n(x) exactly."""
-    if n < 0 or m < 1:
-        raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
+    _require(_NONNEG, "n", n)
+    _require(_POS, "m", m)
     b = bernoulli_polynomial(n)
     total = UnivariatePolynomial()
     for r in range(m):
@@ -288,8 +285,7 @@ def check_raabe(n: int, m: int) -> bool:
 
 def check_euler_bernoulli_relation(n: int) -> bool:
     """Both exact forms tying (n+1)/2 * E_n(x) to B_{n+1} at x/2 and (x+1)/2."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _require(_NONNEG, "index", n)
     lhs = Fraction(n + 1, 2) * euler_polynomial(n)
     b = bernoulli_polynomial(n + 1)
     two = Fraction(2) ** (n + 1)
@@ -299,8 +295,7 @@ def check_euler_bernoulli_relation(n: int) -> bool:
 
 def check_reflection(n: int) -> bool:
     """E_n(x) + E_n(x+1) = 2 x**n as exact polynomials."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _require(_NONNEG, "index", n)
     e = euler_polynomial(n)
     return e + e.affine(1, 1) == UnivariatePolynomial([0] * n + [2])
 
@@ -312,8 +307,7 @@ def secant_series_oracle(count: int) -> list[int]:
     unpacks E_{2n} = (-1)**n (2n)! s_n.  Shares nothing with the
     table, so it serves as an independent cross-check oracle.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _require(_POS, "count", count)
     s = [Fraction(1)]
     for m in range(1, count):
         acc = Fraction(0)

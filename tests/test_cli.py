@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from eulermod import cli, congruences, special
+from eulermod import cli, congruences, exactmath, special
 from eulermod.exactmath import InternalInconsistencyError, UnivariatePolynomial
 
 REQUIRED_FIELDS = {"claim", "parameters", "holds", "modulus", "lhs", "rhs"}
@@ -33,7 +33,7 @@ _OUT_OF_RULE = {
     ">= 1": "0",
     "even and >= 2": "0",
     "> 1": "1",
-    "odd primes": "9",
+    "an odd prime": "9",
     f"between 1 and {cli.CLAIM_N_MAX}": "0",
 }
 
@@ -118,6 +118,14 @@ class TestParseRange:
     def test_invalid(self, spec):
         with pytest.raises(ValueError):
             cli.parse_range(spec)
+
+    def test_expansion_capped(self):
+        cap = cli.CHECK_TUPLES_MAX
+        assert len(cli.parse_range(f"1..{cap}")) == cap
+        assert len(cli.parse_range(f"0..{2 * cap}odd")) == cap
+        for spec in (f"0..{cap}", f"1..{2 * cap + 1}odd", f"5,1..{cap}"):
+            with pytest.raises(ValueError, match=f"CHECK_TUPLES_MAX = {cap} values"):
+                cli.parse_range(spec)
 
 
 class TestValueCommands:
@@ -512,6 +520,36 @@ class TestCheckCommand:
         assert exc.value.code == cli.EXIT_USAGE
         assert f"--{flag}: values must be" in capsys.readouterr().err
 
+    def test_every_rule_is_the_library_rule_or_a_cap(self):
+        library = [v for v in vars(exactmath).values() if isinstance(v, exactmath._Rule)]
+        for claim in cli.CLAIMS.values():
+            for name, _, rule in claim.params:
+                if rule is not None:
+                    assert (any(rule is known for known in library)
+                            or rule.holds.__qualname__.startswith("_between.")), name
+
+    def test_huge_range_refused_at_once(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "2.4", "--a", "0..100000000000", "--m", "1", "--q", "2"])
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "CHECK_TUPLES_MAX" in captured.err and captured.out == ""
+
+    def test_box_over_cap_refused(self, capsys):
+        half = cli.CHECK_TUPLES_MAX // 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "2.4", f"--a=0..{half}", "--m", "1", "--q", "2,4"])
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (f"the ranges span {2 * half + 2} tuples, more than "
+                f"CHECK_TUPLES_MAX = {cli.CHECK_TUPLES_MAX}") in captured.err
+        assert captured.out == ""
+
+    def test_box_at_cap_accepted(self):
+        half = cli.CHECK_TUPLES_MAX // 2
+        box = {"a": list(range(half)), "m": [1], "q": [2, 4]}
+        assert len(cli.CLAIMS["2.4"].tuples(box)) == cli.CHECK_TUPLES_MAX
+
 
 class TestSweepAndTable:
     def test_stern_sweep(self, capsys):
@@ -751,6 +789,18 @@ class TestCache:
             assert code == 0
         assert out == f"{expected}\n"
         assert special._EULER.computed_up_to == 400
+
+    def test_read_only_command_keeps_cache(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "tables.cache"
+        monkeypatch.setattr(special, "_EULER", special.EulerNumberTable())
+        monkeypatch.setattr(special, "_BERNOULLI", special.BernoulliNumberTable())
+        assert run_cli(["euler", "20", "--cache", str(path)], capsys)[0] == 0
+        before = path.stat()
+        assert run_cli(["euler", "10", "--cache", str(path)], capsys)[0] == 0
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert run_cli(["euler", "30", "--cache", str(path)], capsys)[0] == 0
+        assert path.stat().st_ino != before.st_ino and "E 30 " in path.read_text()
 
     def test_tampered_row_below_top_exits_three(self, tmp_path, capsys, monkeypatch):
         # E_6 is corrupted and E_8 re-derived from it, so only the replay sees it
