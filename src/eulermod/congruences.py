@@ -21,11 +21,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat, zip_longest
 from math import comb, gcd
+from operator import mul, rshift
 
 from . import special
 from .exactmath import (InternalInconsistencyError, RationalLike, UnivariatePolynomial,
                         _ABOVE_ONE, _EVEN_NONNEG, _EVEN_POS, _MODULUS, _NONNEG, _ODD_POS,
-                        _ODD_PRIME, _POS, _require, mod_inverse, v_adic)
+                        _ODD_PRIME, _POS, _inverse, _require, v_adic)
 
 __all__ = [
     "QAdicContext",
@@ -102,24 +103,23 @@ def is_q_integer(x: RationalLike, ctx: QAdicContext) -> bool:
     return gcd(x.denominator, ctx.q) == 1
 
 
-def _decide(x: Fraction, y: Fraction, q: int) -> tuple[bool, int, int]:
-    """Decide x = y (mod q) for two q-integers, by two routes that must agree.
+def _decide(a: int, b: int, c: int, d: int, q: int) -> tuple[bool, int, int]:
+    """Decide a/b = c/d (mod q), by two routes that must agree.
 
-    With x = a/b and y = c/d, x - y = num/den for num = a*d - c*b and
-    den = b*d, both plain ints and den prime to q.  Route one asks whether
-    the witness num/(den*q) is a q-integer once reduced; route two tests
-    num * den**-1 = 0 mod q.  Disagreement would mean the congruence layer
-    itself is broken, so it raises instead of returning.
+    The denominators b and d are positive and prime to q, q > 1; the
+    fractions need not be in lowest terms.  Then a/b - c/d = num/den for
+    num = a*d - c*b and den = b*d, with den prime to q.  Route one asks
+    whether the witness num/(den*q) is a q-integer once reduced; route two
+    tests num * den**-1 = 0 mod q.  Disagreement would mean the congruence
+    layer itself is broken, so it raises instead of returning.
     """
-    a, b = x.numerator, x.denominator
-    c, d = y.numerator, y.denominator
     num = a * d - c * b
     den = b * d
     scaled = den * q
     holds = gcd(scaled // gcd(num, scaled), q) == 1
-    if holds != (num * mod_inverse(den, q) % q == 0):
+    if holds != (num * _inverse(den, q) % q == 0):
         raise InternalInconsistencyError(
-            f"congruence routes disagree for {x} = {y} (mod {q})"
+            f"congruence routes disagree for {Fraction(a, b)} = {Fraction(c, d)} (mod {q})"
         )
     return holds, num, den
 
@@ -130,7 +130,7 @@ def congruent_mod(x: RationalLike, y: RationalLike, ctx: QAdicContext) -> Congru
     for value in (x, y):
         if not is_q_integer(value, ctx):
             raise ValueError(f"{value} is not a {ctx.q}-integer")
-    holds, num, den = _decide(x, y, ctx.q)
+    holds, num, den = _decide(x.numerator, x.denominator, y.numerator, y.denominator, ctx.q)
     return CongruenceReport(lhs=x, rhs=y, modulus=ctx.q, holds=holds,
                             quotient_witness=Fraction(num, den * ctx.q))
 
@@ -140,15 +140,22 @@ def poly_congruent_mod(P: UnivariatePolynomial, Q: UnivariatePolynomial,
     """True iff every coefficient pair is congruent mod q (shorter side padded with 0).
 
     Every pair is decided, so any coefficient outside the q-integers raises.
+    The pairs are decided on each side's integer numerators over its one
+    denominator, which is prime to q unless some coefficient is not a
+    q-integer: the denominator is the lcm of the reduced ones.
     """
     q = ctx.q
+    b, d = P._den, Q._den
+    if gcd(b * d, q) != 1:
+        # the refusal names the first such coefficient; one stored as 2/2 is still a q-integer
+        pairs = zip_longest(P.coefficients, Q.coefficients, fillvalue=Fraction(0))
+        for i, pair in enumerate(pairs):
+            for c in pair:
+                if gcd(c.denominator, q) != 1:
+                    raise ValueError(f"coefficient {i} = {c} fell outside the {q}-integers")
     holds = True
-    pairs = zip_longest(P.coefficients, Q.coefficients, fillvalue=Fraction(0))
-    for i, (cp, cq) in enumerate(pairs):
-        for c in (cp, cq):
-            if gcd(c.denominator, q) != 1:
-                raise ValueError(f"coefficient {i} = {c} fell outside the {q}-integers")
-        holds &= _decide(cp, cq, q)[0]
+    for a, c in zip_longest(P._nums, Q._nums, fillvalue=0):
+        holds &= _decide(a, b, c, d, q)[0]
     return holds
 
 
@@ -158,10 +165,10 @@ def alternating_power_sum(q: int, k: int, modulus: int | None = None) -> int:
     _require(_NONNEG, "k", k)
     if modulus is not None:
         _require(_MODULUS, "modulus", modulus)
-    total = 0
-    for j in range(q):  # pow(x, k, None) is the exact power
-        term = pow(2 * j + 1, k, modulus)
-        total += -term if j % 2 else term
+    # 2j+1 runs over 1, 5, 9, ... for even j and 3, 7, 11, ... for odd j;
+    # pow(x, k, None) is the exact power
+    total = (sum(map(pow, range(1, 2 * q, 4), repeat(k), repeat(modulus)))
+             - sum(map(pow, range(3, 2 * q, 4), repeat(k), repeat(modulus))))
     return total % modulus if modulus else total
 
 
@@ -190,10 +197,13 @@ def stern_sum(k: int, n: int, m: int, modulus: int | None = None) -> int:
     if modulus is not None:
         _require(_MODULUS, "modulus", modulus)
     half = (m - 1) // 2
-    total = 0
-    for j in range(1 << n):
-        term = pow(2 * j + 1, k, modulus) * ((j * m + half) >> n)
-        total += term if j % 2 else -term
+    end, top = 2 << n, half + (m << n)
+    # 2j+1 and the floor numerator j m + half, over even j and over odd j
+    even = sum(map(mul, map(pow, range(1, end, 4), repeat(k), repeat(modulus)),
+                   map(rshift, range(half, top, 2 * m), repeat(n))))
+    odd = sum(map(mul, map(pow, range(3, end, 4), repeat(k), repeat(modulus)),
+                  map(rshift, range(half + m, top, 2 * m), repeat(n))))
+    total = odd - even
     return total % modulus if modulus else total
 
 
@@ -361,14 +371,14 @@ def _floor_sum_terms(a: int, m: int, q: int, k: int, alternating: bool) -> Univa
         for e in range(k + 1):
             sums[e] += term
             term *= t
-    return UnivariatePolynomial([Fraction(comb(k, i) * sums[k - i], 2) for i in range(k + 1)])
+    return UnivariatePolynomial._over([comb(k, i) * sums[k - i] for i in range(k + 1)], 2)
 
 
 @lru_cache(maxsize=1)
 def _bernoulli_lhs(b_k: UnivariatePolynomial, a: int, k: int,
                    m: int) -> tuple[UnivariatePolynomial, UnivariatePolynomial]:
     """(m**k B_k((x+a)/m) - B_k(x), and that times 1/k): claim 2.2's cleared and stated sides."""
-    difference = Fraction(m) ** k * b_k.affine(Fraction(1, m), Fraction(a, m)) - b_k
+    difference = m ** k * b_k.affine(Fraction(1, m), Fraction(a, m)) - b_k
     return difference, Fraction(1, k) * difference
 
 
@@ -376,8 +386,7 @@ def _bernoulli_lhs(b_k: UnivariatePolynomial, a: int, k: int,
 def _euler_lhs(e_k: UnivariatePolynomial, a: int, k: int, m: int) -> UnivariatePolynomial:
     """(m**(k+1)/2) E_k((x+a)/m) - ((-1)**a/2) E_k(x): claim 2.3's left side."""
     sign = -1 if a % 2 else 1
-    return (Fraction(m ** (k + 1), 2) * e_k.affine(Fraction(1, m), Fraction(a, m))
-            - Fraction(sign, 2) * e_k)
+    return (m ** (k + 1) * e_k.affine(Fraction(1, m), Fraction(a, m)) - sign * e_k) * Fraction(1, 2)
 
 
 def _decide_poly_claim(lhs: UnivariatePolynomial, rhs: UnivariatePolynomial,

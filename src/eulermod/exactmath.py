@@ -2,7 +2,9 @@
 
 Everything here is pure and deterministic; values are immutable once built, so
 they are safe to share across threads.  Rationals are ``fractions.Fraction``
-(always in lowest terms, positive denominator).
+(always in lowest terms, positive denominator).  A polynomial is integer
+numerators over one positive denominator, in lowest terms; its arithmetic runs
+on plain ints, and its ``coefficients`` are built as ``Fraction``s on request.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Callable, Iterable, NamedTuple, Union
 
 RationalLike = Union[int, Fraction]
@@ -122,6 +125,11 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 def mod_inverse(x: int, modulus: int) -> int:
     """Inverse of x modulo modulus by the built-in ``pow``; requires gcd(x, modulus) = 1."""
     _require(_MODULUS, "modulus", modulus)
+    return _inverse(x, modulus)
+
+
+def _inverse(x: int, modulus: int) -> int:
+    """``mod_inverse`` for a modulus the caller has already checked."""
     try:
         return pow(x, -1, modulus)
     except ValueError:
@@ -221,38 +229,51 @@ def decompose_odd_residue(x: int, t: int) -> OddResidueDecomposition:
 class UnivariatePolynomial:
     """Dense univariate polynomial with exact rational coefficients; immutable.
 
-    Coefficient i is the coefficient of x**i.  The zero polynomial stores no
-    coefficients and reports degree -1.
+    Coefficient i is the coefficient of x**i.  It is stored as integer
+    numerators over one positive denominator, ``_nums[i] / _den``, in one
+    canonical form: gcd(_den, *_nums) = 1 and no trailing zero numerator, so
+    equal polynomials store equal integers.  The zero polynomial stores no
+    numerators over 1 and reports degree -1.  Arithmetic runs on the plain
+    integers; ``coefficients`` and ``coefficient`` build ``Fraction``s only
+    when asked.
     """
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_nums", "_den", "_hash")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()) -> None:
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
+        values = [_rational(c) for c in coefficients]
+        den = lcm(*(c.denominator for c in values))
+        self._nums, self._den = _canonical(
+            [c.numerator * (den // c.denominator) for c in values], den)
+
+    @classmethod
+    def _over(cls, nums: list[int], den: int) -> "UnivariatePolynomial":
+        """sum_i nums[i] x**i / den for a list of ints and an int den > 0; may change nums."""
+        poly = object.__new__(cls)
+        poly._nums, poly._den = _canonical(nums, den)
+        return poly
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple([Fraction(c, den) for c in self._nums])
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of x**i (zero beyond the stored degree)."""
         if i < 0:
             raise ValueError(f"negative index {i}")
-        return self._coeffs[i] if i < len(self._coeffs) else Fraction(0)
+        return Fraction(self._nums[i], self._den) if i < len(self._nums) else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, UnivariatePolynomial):
-            return self._coeffs == other._coeffs
+            return self._den == other._den and self._nums == other._nums
         if isinstance(other, (int, Fraction)):
             return self == UnivariatePolynomial((other,))
         return NotImplemented
@@ -262,23 +283,26 @@ class UnivariatePolynomial:
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(self._coeffs)
+            self._hash = hash(self.coefficients)
             return self._hash
 
     def __neg__(self) -> "UnivariatePolynomial":
-        return UnivariatePolynomial(-c for c in self._coeffs)
+        return UnivariatePolynomial._over([-c for c in self._nums], self._den)
 
     def __add__(self, other: "UnivariatePolynomial | RationalLike") -> "UnivariatePolynomial":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self._nums, other._nums
+        den = self._den
+        if den != other._den:
+            den = lcm(den, other._den)
+            fa, fb = den // self._den, den // other._den
+            a = [c * fa for c in a]
+            b = [c * fb for c in b]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UnivariatePolynomial(out)
+        return UnivariatePolynomial._over([*map(add, a, b), *a[len(b):]], den)
 
     __radd__ = __add__
 
@@ -297,55 +321,73 @@ class UnivariatePolynomial:
     def __mul__(self, other: RationalLike) -> "UnivariatePolynomial":
         """Multiply by a rational scalar; products of two polynomials are not offered."""
         if isinstance(other, (int, Fraction)):
-            return UnivariatePolynomial(c * other for c in self._coeffs)
+            s = other.numerator
+            return UnivariatePolynomial._over([c * s for c in self._nums],
+                                              self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __call__(self, point: RationalLike) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
-        point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * point + c
-        return acc
+        """Evaluate at a rational point u/v by Horner's rule on the integers, over den v**d."""
+        nums = self._nums
+        if not nums:
+            return Fraction(0)
+        point = _rational(point)
+        u, v = point.numerator, point.denominator
+        acc, power = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            power *= v
+            acc = acc * u + c * power
+        return Fraction(acc, self._den * power)
 
     def affine(self, scale: RationalLike, shift: RationalLike) -> "UnivariatePolynomial":
         """self(scale*x + shift), expanded exactly by an integer Taylor shift.
 
-        With shift = u/v, degree d and D the lcm of the coefficient
-        denominators, the integers b_i = D a_i v**(d-i) are shifted by u in
-        place, O(d**2) integer additions (von zur Gathen and Gerhard, "Fast
-        algorithms for Taylor shifts and certain difference equations",
-        ISSAC 1997); coefficient i of the result is b_i (scale v)**i / (D v**d).
+        With shift = u/v, degree d and the stored numerators a_i over D, the
+        integers b_i = a_i v**(d-i) are shifted by u in place, O(d**2)
+        integer additions (von zur Gathen and Gerhard, "Fast algorithms for
+        Taylor shifts and certain difference equations", ISSAC 1997).  With
+        scale * v = s/r in lowest terms, coefficient i of the result is
+        b_i s**i r**(d-i) over the one denominator D v**d r**d.
         """
-        coeffs = self._coeffs
-        if not coeffs:
+        b = list(self._nums)
+        if not b:
             return self
-        shift = Fraction(shift)
+        shift, scale = _rational(shift), _rational(scale)
         u, v = shift.numerator, shift.denominator
-        d = len(coeffs) - 1
-        common = lcm(*(c.denominator for c in coeffs))
-        b = [c.numerator * (common // c.denominator) * v ** (d - i) for i, c in enumerate(coeffs)]
+        d = len(b) - 1
+        if v != 1:
+            power = 1
+            for i in range(d - 1, -1, -1):
+                power *= v
+                b[i] *= power
         if u:
             for i in range(d):
                 for j in range(d - 1, i - 1, -1):
                     b[j] += u * b[j + 1]
-        w = Fraction(scale) * v
-        out = []
-        num, den = 1, common * v ** d
-        for c in b:
-            out.append(Fraction(c * num, den))
-            num *= w.numerator
-            den *= w.denominator
-        return UnivariatePolynomial(out)
+        s, r = scale.numerator * v, scale.denominator
+        g = gcd(s, r)
+        s, r = s // g, r // g
+        if s != 1:
+            power = 1
+            for i in range(1, d + 1):
+                power *= s
+                b[i] *= power
+        if r != 1:
+            power = 1
+            for i in range(d - 1, -1, -1):
+                power *= r
+                b[i] *= power
+        return UnivariatePolynomial._over(b, self._den * (v * r) ** d)
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        coeffs = self.coefficients
+        if not coeffs:
             return "0"
         parts = []
-        for i in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if not c:
                 continue
             if i == 0:
@@ -361,7 +403,25 @@ class UnivariatePolynomial:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"UnivariatePolynomial({self._coeffs!r})"
+        return f"UnivariatePolynomial({self.coefficients!r})"
+
+
+def _canonical(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with trailing zeros stripped and the common factor divided out."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    g = gcd(den, *nums)
+    if g != 1:
+        # a list first: tuple() of a generator is resized, and resized tuples
+        # pile up on the interpreter's tuple free lists, raising peak memory
+        return tuple([c // g for c in nums]), den // g
+    return tuple(nums), den
+
+
+def _rational(value: RationalLike) -> RationalLike:
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
 def _as_poly(value: "UnivariatePolynomial | RationalLike"):

@@ -19,7 +19,7 @@ import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lgamma, log
+from math import factorial, lcm, lgamma, log
 
 from .exactmath import InternalInconsistencyError, UnivariatePolynomial, _NONNEG, _POS, _require
 
@@ -249,13 +249,13 @@ def euler_polynomial(n: int) -> UnivariatePolynomial:
     """E_n(x) = sum_k C(n, k) E_k / 2**k * (x - 1/2)**(n-k): monic, degree n."""
     _require(_NONNEG, "index", n)
     _EULER.extend_to(n)
-    coeffs = [Fraction(0)] * (n + 1)
+    nums = [0] * (n + 1)  # over 2**n
     c = 1  # C(n, k), updated over even k
     for k in range(0, n + 1, 2):
         if k:
             c = c * (n - k + 2) * (n - k + 1) // ((k - 1) * k)
-        coeffs[n - k] = Fraction(c * _EULER.value(k), 1 << k)
-    return UnivariatePolynomial(coeffs).affine(1, Fraction(-1, 2))
+        nums[n - k] = (c * _EULER.value(k)) << (n - k)
+    return UnivariatePolynomial._over(nums, 1 << n).affine(1, Fraction(-1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -263,13 +263,15 @@ def bernoulli_polynomial(n: int) -> UnivariatePolynomial:
     """B_n(x) = sum_k C(n, k) B_k x**(n-k): monic, degree n."""
     _require(_NONNEG, "index", n)
     _BERNOULLI.extend_to(n)
-    coeffs = [Fraction(0)] * (n + 1)
+    values = [_BERNOULLI.value(k) for k in range(n + 1)]
+    den = lcm(*(b.denominator for b in values))
+    nums = [0] * (n + 1)  # over den
     c = 1  # C(n, k)
-    for k in range(n + 1):
+    for k, b in enumerate(values):
         if k:
             c = c * (n - k + 1) // k
-        coeffs[n - k] = c * _BERNOULLI.value(k)
-    return UnivariatePolynomial(coeffs)
+        nums[n - k] = c * b.numerator * (den // b.denominator)
+    return UnivariatePolynomial._over(nums, den)
 
 
 def check_raabe(n: int, m: int) -> bool:
@@ -288,7 +290,7 @@ def check_euler_bernoulli_relation(n: int) -> bool:
     _require(_NONNEG, "index", n)
     lhs = Fraction(n + 1, 2) * euler_polynomial(n)
     b = bernoulli_polynomial(n + 1)
-    two = Fraction(2) ** (n + 1)
+    two = 1 << (n + 1)
     half = Fraction(1, 2)
     return lhs == b - two * b.affine(half, 0) and lhs == two * b.affine(half, half) - b
 

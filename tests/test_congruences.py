@@ -149,7 +149,7 @@ class TestCongruentMod:
 
     def test_route_disagreement_raises(self, monkeypatch):
         # route two then finds every pair congruent; route one sees 1 - 2 = -1
-        monkeypatch.setattr(congruences, "mod_inverse", lambda x, modulus: 0)
+        monkeypatch.setattr(congruences, "_inverse", lambda x, modulus: 0)
         ctx = QAdicContext(4)
         with pytest.raises(InternalInconsistencyError, match=r"1 = 2 \(mod 4\)"):
             congruent_mod(1, 2, ctx)
@@ -198,6 +198,16 @@ class TestPolyCongruentMod:
         for lhs, rhs in ((p, p), (p + 1, p)):
             with pytest.raises(ValueError, match="coefficient 1"):
                 poly_congruent_mod(lhs, rhs, QAdicContext(4))
+
+    def test_denominator_shared_with_q(self):
+        # stored as (2 + 6x + x^2)/2: coefficients 0 and 1 are q-integers though stored over 2
+        p = UnivariatePolynomial([1, 3, Fraction(1, 2)])
+        with pytest.raises(ValueError, match=r"coefficient 2 = 1/2 fell outside the 2-integers"):
+            poly_congruent_mod(p, UnivariatePolynomial(), QAdicContext(2))
+        half_x = UnivariatePolynomial([0, Fraction(1, 2)])
+        for q in range(2, 40):
+            assert poly_congruent_mod((half_x + 1) - half_x, UnivariatePolynomial([1]),
+                                      QAdicContext(q))
 
 
 class TestAlternatingPowerSum:

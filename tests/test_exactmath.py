@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import zip_longest
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -320,6 +321,104 @@ class TestPolynomial:
         q = p.affine(scale, shift)
         assert q(point) == p(scale * point + shift)
         assert q.degree == (p.degree if scale else (0 if p(shift) else -1))
+
+
+def _reference(coefficients) -> tuple[Fraction, ...]:
+    """A polynomial as one reduced Fraction per coefficient, trailing zeros stripped."""
+    out = [Fraction(c) for c in coefficients]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _reference_add(a, b):
+    return _reference(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _reference_scale(a, s):
+    return _reference(c * s for c in a)
+
+
+def _reference_affine(a, scale, shift):
+    # sum_i a_i (scale x + shift)**i expanded binomially
+    return _reference(sum(c * comb(i, j) * scale ** j * shift ** (i - j)
+                          for i, c in enumerate(a) if i >= j) for j in range(len(a)))
+
+
+def _reference_eval(a, point):
+    return sum((c * point ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def _reference_str(a):
+    terms = []
+    for i in reversed(range(len(a))):
+        if a[i]:
+            mag = abs(a[i])
+            power = "x" if i == 1 else f"x^{i}"
+            body = str(mag) if i == 0 else power if mag == 1 else f"{mag}*{power}"
+            terms.append(("-" if a[i] < 0 else "+", body))
+    if not terms:
+        return "0"
+    (sign, body), rest = terms[0], terms[1:]
+    return " ".join([body if sign == "+" else f"-{body}", *(f"{s} {b}" for s, b in rest)])
+
+
+def _assert_canonical(p: UnivariatePolynomial) -> None:
+    assert p._den > 0 and gcd(p._den, *p._nums) == 1
+    assert all(type(c) is int for c in p._nums) and type(p._den) is int
+    assert (not p._nums and p._den == 1) or p._nums[-1]
+
+
+# ints and Fractions with unlike denominators, with trailing zeros appended
+mixed_coefficients = st.tuples(
+    st.lists(st.one_of(st.integers(-20, 20), small_fracs), max_size=7), st.integers(0, 2),
+).map(lambda t: t[0] + [0] * t[1])
+scalars = st.one_of(st.integers(-6, 6), small_fracs)
+
+
+class TestAgainstFractionReference:
+    """Every polynomial operation against one reduced Fraction per coefficient."""
+
+    @given(mixed_coefficients, mixed_coefficients, scalars, scalars, scalars)
+    @settings(max_examples=150)
+    @example([Fraction(1, 2), 1, Fraction(3, 4)], [0, Fraction(-1, 2), 0, 0], 2,
+             Fraction(1, 3), Fraction(-5, 2))
+    @example([], [0, 0], 0, 0, 1)
+    @example([1, 3, Fraction(1, 2)], [Fraction(1, 2)], Fraction(2, 3), 0, Fraction(7, 4))
+    def test_every_operation(self, cs, ds, s, t, point):
+        p, q = UnivariatePolynomial(cs), UnivariatePolynomial(ds)
+        a, b = _reference(cs), _reference(ds)
+        cases = [
+            (p, a), (q, b),
+            (p + q, _reference_add(a, b)),
+            (p - q, _reference_add(a, _reference_scale(b, -1))),
+            (-p, _reference_scale(a, -1)),
+            (p * s, _reference_scale(a, s)), (s * p, _reference_scale(a, s)),
+            (p + s, _reference_add(a, (s,))), (s - p, _reference_add((s,), _reference_scale(a, -1))),
+            (p.affine(s, t), _reference_affine(a, Fraction(s), Fraction(t))),
+        ]
+        for poly, ref in cases:
+            _assert_canonical(poly)
+            assert poly.coefficients == ref
+            assert all(type(c) is Fraction for c in poly.coefficients)
+            assert poly.degree == len(ref) - 1
+            assert [poly.coefficient(i) for i in range(len(ref) + 2)] == [*ref, 0, 0]
+            assert poly(point) == _reference_eval(ref, point)
+            assert str(poly) == _reference_str(ref)
+            assert hash(poly) == hash(ref)
+            assert (poly == p) == (ref == a) and (poly == q) == (ref == b)
+            assert bool(poly) == bool(ref)
+
+    @given(mixed_coefficients, mixed_coefficients)
+    @settings(max_examples=80)
+    def test_equal_polynomials_from_different_routes(self, cs, ds):
+        p, q = UnivariatePolynomial(cs), UnivariatePolynomial(ds)
+        routes = [UnivariatePolynomial([*p.coefficients, 0, 0]), (p + q) - q, q + p - q,
+                  -(-p), p * 6 * Fraction(1, 6), p * Fraction(1, 3) + p * Fraction(2, 3),
+                  p.affine(1, 0), p + UnivariatePolynomial([Fraction(1, 2)]) - Fraction(1, 2)]
+        for twin in routes:
+            assert twin == p and hash(twin) == hash(p)
+            assert (twin._nums, twin._den) == (p._nums, p._den)
 
 
 def test_is_prime_small():
