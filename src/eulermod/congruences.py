@@ -452,10 +452,10 @@ def check_euler_poly_congruence(a: int, k: int, m: int, q: int) -> bool:
     the old left side.  The floor sum and the decision still run for every q.
     """
     _require(_NONNEG, "k", k)
+    _require(_POS, "m", m)
     _require(_EVEN_POS, "q", q)
     if gcd(m, q) != 1:
         raise ValueError(f"m and q must be coprime, got m={m}, q={q}")
-    _require(_POS, "m", m)
     ctx = QAdicContext(q)
     lhs = _euler_lhs(special.euler_polynomial(k), a, k, m)
     rhs = _floor_sum_terms(a, m, q, k, alternating=True)

@@ -19,7 +19,7 @@ import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, lgamma, log
+from math import factorial, lcm, lgamma, log, perm
 
 from .exactmath import InternalInconsistencyError, UnivariatePolynomial, _NONNEG, _POS, _require
 
@@ -46,24 +46,37 @@ class CacheError(ValueError):
     """A table cache file is malformed or fails validation; the load is refused."""
 
 
-def _euler_row(values, m: int) -> int:
-    """One step of the alternating binomial recurrence, from the entries below m.
+def _binomial_terms(values, n: int, step: int) -> tuple[list[int], int]:
+    """C(n, k) values[k] for k = 0, step, 2 step, ... below len(values), over one denominator.
 
-    E_m = -sum over k < m with m - k even of C(m, k) E_k.  The binomial
-    coefficient is updated incrementally (exact division), so a row costs
-    O(m) big-integer multiply-adds.  The table grows by its column, not by
-    this: it is the table's ``_row``, which re-derives cached rows in the
-    tamper check, and it serves the tests as a second route.
+    Returns the integer numerators and their denominator, the lcm of the
+    values' denominators.  Each C(n, k) comes from the previous one by exact
+    division, so the walk costs O(len(values) / step) big-integer
+    multiplications.  It is the one binomial loop behind the row recurrences
+    and the polynomials.
+    """
+    den = lcm(*(v.denominator for v in values[::step]))
+    terms = []
+    c = 1  # C(n, k)
+    for k in range(0, len(values), step):
+        if k:
+            c = c * perm(n - k + step, step) // perm(k, step)
+        v = values[k]
+        terms.append(c * v.numerator * (den // v.denominator))
+    return terms, den
+
+
+def _euler_row(values, m: int) -> int:
+    """E_m = -sum over k < m with m - k even of C(m, k) E_k, from the integers below m.
+
+    The table grows by its column, not by this: it is the table's ``_row``,
+    which re-derives cached rows in the tamper check, and it serves the tests
+    as a second route.
     """
     if m % 2:
         # the sum ranges over odd k < m, whose entries are all zero
         return 0
-    c = 1
-    acc = values[0]
-    for k in range(2, m, 2):
-        c = c * (m - k + 2) * (m - k + 1) // ((k - 1) * k)
-        acc += c * values[k]
-    return -acc
+    return -sum(_binomial_terms(values[:m], m, 2)[0])
 
 
 def _bernoulli_row(values, m: int) -> Fraction:
@@ -71,15 +84,8 @@ def _bernoulli_row(values, m: int) -> Fraction:
 
     Like ``_euler_row``, kept for the tamper check and as a test oracle.
     """
-    acc = Fraction(0)
-    c = 1  # C(m+1, 0)
-    for k in range(m):
-        if k:
-            c = c * (m + 2 - k) // k
-        b = values[k]
-        if b:
-            acc += c * b
-    return -acc / (m + 1)
+    terms, den = _binomial_terms(values[:m], m + 1, 1)
+    return Fraction(-sum(terms), den * (m + 1))
 
 
 def _column_step(column: list[int], gap: int) -> int:
@@ -249,12 +255,9 @@ def euler_polynomial(n: int) -> UnivariatePolynomial:
     """E_n(x) = sum_k C(n, k) E_k / 2**k * (x - 1/2)**(n-k): monic, degree n."""
     _require(_NONNEG, "index", n)
     _EULER.extend_to(n)
+    terms, _ = _binomial_terms(_EULER._values[:n + 1], n, 2)
     nums = [0] * (n + 1)  # over 2**n
-    c = 1  # C(n, k), updated over even k
-    for k in range(0, n + 1, 2):
-        if k:
-            c = c * (n - k + 2) * (n - k + 1) // ((k - 1) * k)
-        nums[n - k] = (c * _EULER.value(k)) << (n - k)
+    nums[n::-2] = [t << (n - k) for k, t in zip(range(0, n + 1, 2), terms)]
     return UnivariatePolynomial._over(nums, 1 << n).affine(1, Fraction(-1, 2))
 
 
@@ -263,15 +266,8 @@ def bernoulli_polynomial(n: int) -> UnivariatePolynomial:
     """B_n(x) = sum_k C(n, k) B_k x**(n-k): monic, degree n."""
     _require(_NONNEG, "index", n)
     _BERNOULLI.extend_to(n)
-    values = [_BERNOULLI.value(k) for k in range(n + 1)]
-    den = lcm(*(b.denominator for b in values))
-    nums = [0] * (n + 1)  # over den
-    c = 1  # C(n, k)
-    for k, b in enumerate(values):
-        if k:
-            c = c * (n - k + 1) // k
-        nums[n - k] = c * b.numerator * (den // b.denominator)
-    return UnivariatePolynomial._over(nums, den)
+    terms, den = _binomial_terms(_BERNOULLI._values[:n + 1], n, 1)
+    return UnivariatePolynomial._over(terms[::-1], den)
 
 
 def check_raabe(n: int, m: int) -> bool:
@@ -334,32 +330,53 @@ def secant_series_oracle(count: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+_INT_STR_LOCK = threading.Lock()
+_int_str_users = 0  # callers inside _unlimited_int_str, under _INT_STR_LOCK
+_int_str_previous = None  # the limit the first of them found
+
+
 @contextlib.contextmanager
 def _unlimited_int_str():
-    # exact Euler numbers overflow the default int<->str conversion limit
-    get = getattr(sys, "get_int_max_str_digits", None)
-    set_ = getattr(sys, "set_int_max_str_digits", None)
-    if set_ is None:
+    # exact Euler numbers overflow the default int<->str conversion limit.  The
+    # limit is process-wide: the first caller in lifts it and the last one out
+    # restores it, so overlapping callers leave it as the first one found it.
+    global _int_str_users, _int_str_previous
+    if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
-    previous = get()
-    set_(0)
+    with _INT_STR_LOCK:
+        if not _int_str_users:
+            _int_str_previous = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        _int_str_users += 1
     try:
         yield
     finally:
-        set_(previous)
+        with _INT_STR_LOCK:
+            _int_str_users -= 1
+            if not _int_str_users:
+                sys.set_int_max_str_digits(_int_str_previous)
 
 
 def save_tables(path, euler: EulerNumberTable | None = None,
                 bernoulli: BernoulliNumberTable | None = None) -> None:
-    """Persist every memoized index of both tables to the cache file at path."""
+    """Persist every memoized index of both tables to the cache file at path.
+
+    Each writer fills its own temporary file beside path and renames it over
+    path, so concurrent saves never mix records: the last rename wins.
+    """
     euler = euler if euler is not None else _EULER
     bernoulli = bernoulli if bernoulli is not None else _BERNOULLI
-    tmp = f"{path}.tmp"
-    with _unlimited_int_str(), open(tmp, "w", encoding="ascii") as fh:
-        fh.writelines(f"{table._KIND} {n} {value}\n"
-                      for table in (euler, bernoulli) for n, value in enumerate(table.snapshot()))
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with _unlimited_int_str(), open(tmp, "w", encoding="ascii") as fh:
+            fh.writelines(f"{table._KIND} {n} {value}\n"
+                          for table in (euler, bernoulli) for n, value in enumerate(table.snapshot()))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _max_digits(n: int) -> int:
@@ -437,12 +454,14 @@ def load_tables(path, euler: EulerNumberTable | None = None,
     ``InternalInconsistencyError`` at the first one that differs, so each row
     gets a full second check before the table grows past it.  A record with
     more digits than any genuine value is refused before it is converted.  An
-    empty file is a valid empty cache.  Returns the highest loaded index per
+    empty file is a valid empty cache.  Without ``rng`` the random probe is
+    drawn from a fresh ``random.Random()``, so a load leaves the global
+    ``random`` stream as it found it.  Returns the highest loaded index per
     kind (-1 when that kind is absent).
     """
     tables = (euler if euler is not None else _EULER,
               bernoulli if bernoulli is not None else _BERNOULLI)
-    chooser = rng if rng is not None else random
+    chooser = rng if rng is not None else random.Random()
 
     loaded = _parse_cache(path, tables)
     for table, values in zip(tables, loaded):

@@ -36,6 +36,7 @@ _REFUSALS = [
     (congruences.check_euler_poly_congruence, (0, -1, 1, 2), "k must be >= 0, got -1"),
     (congruences.check_euler_poly_congruence, (0, 2, 1, 3), "q must be even and >= 2, got 3"),
     (congruences.check_euler_poly_congruence, (0, 2, -1, 2), "m must be >= 1, got -1"),
+    (congruences.check_euler_poly_congruence, (0, 2, 0, 2), "m must be >= 1, got 0"),
     (congruences.signed_floor_sum_identity, (0, 1, 3), "q must be even and >= 2, got 3"),
     (congruences.signed_floor_sum_identity, (0, -1, 2), "m must be >= 1, got -1"),
     (congruences.kummer_check, (9, 1, 4, 6), "p must be an odd prime, got 9"),

@@ -131,6 +131,16 @@ class TestPolynomials:
                              * (t - Fraction(1, 2)) ** (n - k) for k in range(n + 1))
                 assert euler_polynomial(n)(t) == direct, (n, t)
 
+    def test_bernoulli_polynomial_matches_defining_sum(self):
+        # second route: the defining sum evaluated pointwise, no polynomial arithmetic
+        rng = random.Random(20041)
+        for n in range(61):
+            for _ in range(3):
+                t = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                direct = sum(comb(n, k) * bernoulli_number(k) * t ** (n - k)
+                             for k in range(n + 1))
+                assert bernoulli_polynomial(n)(t) == direct, (n, t)
+
     def test_euler_polynomial_at_zero(self):
         for n in range(81):
             expected = -2 * (2 ** (n + 1) - 1) * bernoulli_number(n + 1) / (n + 1)
@@ -315,6 +325,84 @@ class TestCacheFile:
         e.extend_to(e_to)
         b.extend_to(b_to)
         return e, b
+
+    def test_threads_save_and_load_one_path(self, tmp_path):
+        path = tmp_path / "tables.cache"
+        pairs = [self._fresh_pair(200, 100), self._fresh_pair(600, 300)]
+        saved = [(e.snapshot(), b.snapshot()) for e, b in pairs]
+        workers, rounds = 4, 5
+        start = threading.Barrier(workers)
+        errors = []
+
+        def work(i):
+            e, b = pairs[i % 2]
+            try:
+                for r in range(rounds):
+                    start.wait(timeout=60)
+                    save_tables(path, euler=e, bernoulli=b)
+                    e2, b2 = EulerNumberTable(), BernoulliNumberTable()
+                    load_tables(path, euler=e2, bernoulli=b2, rng=random.Random(r))
+                    assert (e2.snapshot(), b2.snapshot()) in saved
+            except BaseException as exc:
+                errors.append(exc)
+                start.abort()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        has_limit = hasattr(sys, "set_int_max_str_digits")
+        previous = sys.get_int_max_str_digits() if has_limit else None
+        interval = sys.getswitchinterval()
+        if has_limit:
+            # E_600 has about 1400 digits: a save or load under this limit fails
+            sys.set_int_max_str_digits(640)
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            limit = sys.get_int_max_str_digits() if has_limit else None
+        finally:
+            sys.setswitchinterval(interval)
+            if has_limit:
+                sys.set_int_max_str_digits(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert limit == (640 if has_limit else None)
+        e, b = EulerNumberTable(), BernoulliNumberTable()
+        load_tables(path, euler=e, bernoulli=b)
+        assert (e.snapshot(), b.snapshot()) in saved
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int -> str digit limit in this Python")
+    def test_overlapping_users_restore_the_digit_limit(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            first, second = special._unlimited_int_str(), special._unlimited_int_str()
+            first.__enter__()
+            second.__enter__()
+            first.__exit__(None, None, None)
+            inside = sys.get_int_max_str_digits()  # the second user still needs it lifted
+            second.__exit__(None, None, None)
+            after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert (inside, after) == (0, 5000)
+
+    def test_load_leaves_the_global_random_stream(self, tmp_path):
+        path = tmp_path / "tables.cache"
+        save_tables(path, *self._fresh_pair())
+        state = random.getstate()
+        try:
+            random.seed(1)
+            expected = [random.random() for _ in range(3)]
+            random.seed(1)
+            load_tables(path, euler=EulerNumberTable(), bernoulli=BernoulliNumberTable())
+            drawn = [random.random() for _ in range(3)]
+        finally:
+            random.setstate(state)
+        assert drawn == expected
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "tables.cache"
